@@ -18,8 +18,7 @@ from .coloring import estimate_mdp_size, greedy_color
 from .config import Config
 from .errors import FastcolorError
 from .fastcolornet import init_fastcolornet
-from .graph import Graph, load_graph, save_edge_list
-from .mcts import NetEvaluator
+from .graph import load_graph, save_edge_list
 from .pipeline import (
     HEURISTICS,
     Model,
@@ -106,14 +105,10 @@ def cmd_selfplay(args) -> int:
         baseline = bootstrap_oracle()
         candidate = Model(init_fastcolornet(cfg))
 
-    def evaluator(g: Graph):
-        table = candidate.cache.table(g, candidate.store, cfg, candidate.version)
-        return NetEvaluator(candidate.store, cfg, table)
-
     buffer = ReplayBuffer(cfg.buffer_capacity)
     log_path = os.path.join(out, "episodes.jsonl")
-    results = run_selfplay(graphs, cfg, evaluator, baseline, buffer,
-                           seed=cfg.seed, log_path=log_path)
+    results = run_selfplay(graphs, cfg, lambda g: candidate.evaluator(g, cfg), baseline,
+                           buffer, seed=cfg.seed, log_path=log_path)
     print(f"segments: {len(results)}")
     print(f"records: {len(buffer)}")
     print(log_path)

@@ -28,7 +28,6 @@ __all__ = [
     "outcome_vs_baseline",
     "ActionSet",
     "ColoringState",
-    "apply_action",
     "compute_order",
     "greedy_color",
     "Coloring",
@@ -169,13 +168,6 @@ class ColoringState:
         return self.colors_used
 
 
-def apply_action(state: ColoringState, action: int) -> ColoringState:
-    """Pure-functional step: returns a new state, input untouched."""
-    nxt = state.clone()
-    nxt.apply_inplace(action)
-    return nxt
-
-
 def compute_order(g: Graph, kind: str) -> np.ndarray:
     """Visitation order used by each heuristic.
 
@@ -313,16 +305,19 @@ def brute_force_chromatic(g: Graph, cap: int = 12) -> int:
     return upper
 
 
+def _monochromatic(g: Graph, assignment: np.ndarray) -> np.ndarray:
+    """Positions in ``g.neighbors`` whose edge joins two equal colors,
+    ascending, so in (v, neighbor) row order."""
+    sources = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    return np.flatnonzero(assignment[sources] == assignment[g.neighbors])
+
+
 def is_proper(g: Graph, assignment: np.ndarray) -> bool:
     """True iff every vertex is colored and no edge is monochromatic."""
     assignment = np.asarray(assignment)
     if assignment.shape != (g.n,) or (g.n and assignment.min() < 0):
         return False
-    for v in range(g.n):
-        row = g.neighbors_of(v)
-        if np.any(assignment[row] == assignment[v]):
-            return False
-    return True
+    return _monochromatic(g, assignment).size == 0
 
 
 def check_proper(g: Graph, assignment: np.ndarray) -> None:
@@ -333,11 +328,10 @@ def check_proper(g: Graph, assignment: np.ndarray) -> None:
     bad = np.nonzero(assignment < 0)[0]
     if bad.size:
         raise ContractError(f"vertex {int(bad[0])} is uncolored")
-    for v in range(g.n):
-        row = g.neighbors_of(v)
-        hits = row[assignment[row] == assignment[v]]
-        if hits.size:
-            raise ContractError(f"edge ({v}, {int(hits[0])}) is monochromatic")
+    hits = _monochromatic(g, assignment)
+    if hits.size:
+        v = int(np.searchsorted(g.offsets, hits[0], side="right")) - 1
+        raise ContractError(f"edge ({v}, {int(g.neighbors[hits[0]])}) is monochromatic")
 
 
 def save_coloring(assignment: np.ndarray, path: str) -> None:

@@ -32,6 +32,7 @@ from .embedding import (
 from .errors import ContractError, ParameterError
 from .graph import Graph
 from .nn import (
+    BN_EPS,
     AdamState,
     ParamStore,
     adam_step,
@@ -61,7 +62,12 @@ __all__ = [
     "init_fastcolornet",
     "v_forward",
     "p_forward",
+    "InferenceNet",
+    "freeze",
+    "policy_forward",
+    "policy_value_forward",
     "evaluate",
+    "evaluate_frozen",
     "fcn_loss",
     "forward_backward",
     "fcn_train_step",
@@ -124,6 +130,7 @@ def graph_context(state: ColoringState, cfg) -> np.ndarray:
 
 
 def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInput:
+    """Contexts for the current move, in the embedding table's dtype."""
     g = state.graph
     if table.tables.shape[1] != g.n:
         raise ContractError(
@@ -132,7 +139,7 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     rows = table.final
     t = state.t
 
-    pc = np.zeros((2 * w, dim))
+    pc = np.zeros((2 * w, dim), dtype=rows.dtype)
     pc_vertices = np.full(2 * w, -1, dtype=np.int64)
     for i in range(2 * w):
         src = t - w + i
@@ -150,7 +157,7 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
         logger.warning("candidate cap %d hit at t=%d (%d existing colors)",
                        cfg.candidate_cap, t, len(aset.existing))
     k = len(existing) + 1
-    cand_sets = np.zeros((k, m, dim))
+    cand_sets = np.zeros((k, m, dim), dtype=rows.dtype)
     cand_vertices = np.full((k, m), -1, dtype=np.int64)
     for ci, color in enumerate(existing):
         members = state.color_members[color]
@@ -167,7 +174,8 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
             cand_sets[ci, si] = rows[v]
             cand_vertices[ci, si] = v
 
-    return MoveInput(table=table, graph=g, gc=graph_context(state, cfg),
+    gc = graph_context(state, cfg).astype(rows.dtype)
+    return MoveInput(table=table, graph=g, gc=gc,
                      pc=pc, pc_vertices=pc_vertices, cand_sets=cand_sets,
                      cand_vertices=cand_vertices,
                      actions=existing + [aset.new_color], capped=capped)
@@ -463,14 +471,126 @@ def p_backward(store: ParamStore, cfg, dlogits_list, cache, grads: dict):
     return d_pc, d_cands
 
 
-def evaluate(store: ParamStore, cfg, state: ColoringState, table: EmbeddingTable) -> NetOutput:
-    """Score one state with frozen statistics; pure given the arguments."""
+# -- frozen inference --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FoldedLayer:
+    """A layer -> eval-mode batchnorm -> ReLU block.
+
+    Batchnorm with frozen statistics is a per-channel affine map, so the
+    block computes relu((x @ w + b) * scale + shift), plus the input where
+    the channel counts match. ``w`` and ``b`` are the store's own arrays.
+    """
+
+    w: np.ndarray  # dense (C_in, C_out) or conv kernel (F, C_in, C_out)
+    b: np.ndarray
+    scale: np.ndarray  # gamma / sqrt(running_var + eps)
+    shift: np.ndarray  # beta - running_mean * scale
+
+
+@dataclass(frozen=True)
+class InferenceNet:
+    """Eval-mode view of one parameter version.
+
+    Holds per-channel vectors only, in the store's dtype; weights are
+    shared with the store. The snapshot is valid as long as that version
+    is: replacing the store's arrays (as ``adam_step`` does) leaves it
+    describing the old version.
+    """
+
+    v_seq: tuple[FoldedLayer, ...]
+    v_fc: tuple[FoldedLayer, ...]
+    v_head: tuple[np.ndarray, np.ndarray]
+    p_fc: tuple[FoldedLayer, ...]
+    p_seq: tuple[FoldedLayer, ...]  # empty without candidate_seq2seq
+    p_head: tuple[np.ndarray, np.ndarray]
+
+
+def _fold(store: ParamStore, prefix: str, weight: str, layers: int) -> tuple[FoldedLayer, ...]:
+    out = []
+    for i in range(layers):
+        name = f"{prefix}.{i}"
+        var = store[f"{name}.bn._running_var"].astype(np.float64)
+        scale = store[f"{name}.bn.gamma"] / np.sqrt(var + BN_EPS)
+        shift = store[f"{name}.bn.beta"] - store[f"{name}.bn._running_mean"] * scale
+        out.append(FoldedLayer(store[f"{name}.{weight}"], store[f"{name}.b"],
+                               scale.astype(store.dtype), shift.astype(store.dtype)))
+    return tuple(out)
+
+
+def freeze(store: ParamStore, cfg) -> InferenceNet:
+    """Fold every batchnorm of both networks into its preceding layer."""
+    return InferenceNet(
+        v_seq=_fold(store, "v.seq", "k", cfg.seq_layers),
+        v_fc=_fold(store, "v.fc", "w", cfg.v_layers),
+        v_head=(store["v.head.w"], store["v.head.b"]),
+        p_fc=_fold(store, "p.fc", "w", cfg.p_layers),
+        p_seq=_fold(store, "p.seq", "k", cfg.seq_layers) if cfg.candidate_seq2seq else (),
+        p_head=(store["p.head.w"], store["p.head.b"]),
+    )
+
+
+def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np.ndarray:
+    for layer in layers:
+        y, _ = forward(x, layer.w, layer.b)
+        y *= layer.scale
+        y += layer.shift
+        np.maximum(y, 0, out=y)
+        if y.shape[-1] == x.shape[-1]:
+            y += x
+        x = y
+    return x
+
+
+def policy_forward(net: InferenceNet, cfg, mi: MoveInput) -> np.ndarray:
+    """Candidate probabilities (K,) for one move; what p_forward computes
+    with training=False."""
+    pc = mi.pc
+    if not cfg.pool_problem_context:
+        pc_feat = pc.reshape(-1)
+    elif cfg.pool == "mean":
+        pc_feat = pc.mean(axis=0)
+    else:
+        pc_feat = pc.max(axis=0)
+    k = mi.cand_sets.shape[0]
+    head = np.concatenate([mi.gc, pc_feat])
+    x = np.concatenate([np.broadcast_to(head, (k, head.size)),
+                        mi.cand_sets.reshape(k, -1)], axis=1)
+    feats = _folded_stack(x, net.p_fc, dense_forward)
+    if net.p_seq:
+        feats = _folded_stack(feats[None], net.p_seq, conv1d_forward)[0]
+    scores, _ = dense_forward(feats, *net.p_head)
+    # float64 normalization: equal logits give exactly uniform priors
+    return softmax(scores[:, 0].astype(np.float64))
+
+
+def policy_value_forward(net: InferenceNet, cfg, mi: MoveInput) -> tuple[np.ndarray, np.ndarray]:
+    """(p (K,), v3 (3,)) for one move; what p_forward and v_forward
+    compute with training=False."""
+    seq = _folded_stack(mi.pc[None], net.v_seq, conv1d_forward)
+    pooled = seq.mean(axis=1) if cfg.pool == "mean" else seq.max(axis=1)
+    h = _folded_stack(np.concatenate([mi.gc[None], pooled], axis=1), net.v_fc, dense_forward)
+    logits, _ = dense_forward(h, *net.v_head)
+    return policy_forward(net, cfg, mi), softmax(logits[0].astype(np.float64))
+
+
+def evaluate_frozen(net: InferenceNet, cfg, state: ColoringState,
+                    table: EmbeddingTable) -> NetOutput:
+    """Score one state with a frozen snapshot; pure given the arguments."""
     mi = build_contexts(state, table, cfg)
-    v3, _, _ = v_forward(store, cfg, [mi], training=False)
-    p_list, _, _ = p_forward(store, cfg, [mi], training=False)
-    v3_row = v3[0]
-    return NetOutput(actions=mi.actions, p=p_list[0], v3=v3_row,
-                     v=float(v3_row[0] - v3_row[2]), capped=mi.capped)
+    p, v3 = policy_value_forward(net, cfg, mi)
+    return NetOutput(actions=mi.actions, p=p, v3=v3, v=float(v3[0] - v3[2]),
+                     capped=mi.capped)
+
+
+def evaluate(store: ParamStore, cfg, state: ColoringState, table: EmbeddingTable) -> NetOutput:
+    """Score one state with frozen statistics; pure given the arguments.
+
+    Freezes ``store`` on every call; to score many states under one
+    parameter version, freeze once and use ``evaluate_frozen``.
+    """
+    return evaluate_frozen(freeze(store, cfg), cfg, state, table)
 
 
 # -- loss and training -------------------------------------------------

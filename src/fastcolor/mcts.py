@@ -17,6 +17,7 @@ import numpy as np
 
 from .coloring import ColoringState, outcome_vs_baseline
 from .errors import ContractError, ParameterError
+from .fastcolornet import evaluate_frozen, freeze
 
 __all__ = [
     "Node",
@@ -149,17 +150,19 @@ class RolloutEvaluator:
 
 
 class NetEvaluator:
-    """Priors and value from a FastColorNet parameter snapshot."""
+    """Priors and value from a frozen FastColorNet snapshot.
 
-    def __init__(self, store, cfg, table):
-        self.store = store
+    ``net`` is the snapshot of ``store``; it is built here when the
+    caller has none to share.
+    """
+
+    def __init__(self, store, cfg, table, net=None):
         self.cfg = cfg
         self.table = table
+        self.net = net if net is not None else freeze(store, cfg)
 
     def evaluate(self, state: ColoringState):
-        from .fastcolornet import evaluate as net_evaluate
-
-        out = net_evaluate(self.store, self.cfg, state, self.table)
+        out = evaluate_frozen(self.net, self.cfg, state, self.table)
         return out.actions, out.p, out.v
 
 

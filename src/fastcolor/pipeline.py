@@ -27,7 +27,14 @@ from .coloring import (
 )
 from .config import Config, expand_sources
 from .errors import ParameterError, StateError
-from .fastcolornet import TrainMove, build_contexts, fcn_train_step, init_fastcolornet
+from .fastcolornet import (
+    InferenceNet,
+    TrainMove,
+    build_contexts,
+    fcn_train_step,
+    freeze,
+    init_fastcolornet,
+)
 from .graph import Graph, GraphSource
 from .mcts import NetEvaluator, SearchTree, search
 from .nn import AdamState, ParamStore
@@ -63,18 +70,31 @@ def load_sources(spec: str) -> list[Graph]:
 
 @dataclass
 class Model:
-    """Parameter snapshot plus the embedding tables computed under it.
+    """Parameter snapshot plus the embedding tables and the frozen
+    inference snapshot computed under it.
 
-    ``version`` keys the cache; it must change whenever ``store``'s
-    parameters do, or stale tables would be served.
+    ``version`` keys both caches; it must change whenever ``store``'s
+    parameters do, or stale tables and snapshots would be served.
     """
 
     store: ParamStore
     version: int = 0
     cache: EmbeddingCache = field(default_factory=EmbeddingCache)
+    _net: tuple[int, InferenceNet] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
+
+    def net(self, cfg: Config) -> InferenceNet:
+        """The inference snapshot of the current version, built once."""
+        if self._net is None or self._net[0] != self.version:
+            self._net = (self.version, freeze(self.store, cfg))
+        return self._net[1]
 
     def policy(self, cfg: Config) -> NetPolicy:
-        return NetPolicy(self.store, cfg, self.cache, self.version)
+        return NetPolicy(self.store, cfg, self.cache, self.version, self.net(cfg))
+
+    def evaluator(self, g: Graph, cfg: Config) -> NetEvaluator:
+        table = self.cache.table(g, self.store, cfg, self.version)
+        return NetEvaluator(self.store, cfg, table, self.net(cfg))
 
 
 def policy_colors(g: Graph, policy, cfg: Config) -> int:
@@ -92,9 +112,7 @@ def mcts_color(g: Graph, cfg: Config, model: Model, simulations: int | None = No
     sims = cfg.simulations if simulations is None else simulations
     trace = BaselineOracle(model.policy(cfg)).trace(g, cfg)
     state = ColoringState(g, compute_order(g, cfg.order_kind))
-    table = model.cache.table(g, model.store, cfg, model.version)
-    tree = SearchTree(state, NetEvaluator(model.store, cfg, table), g.n,
-                      trace.cumulative, c=cfg.ucb_c)
+    tree = SearchTree(state, model.evaluator(g, cfg), g.n, trace.cumulative, c=cfg.ucb_c)
     while state.t < g.n:
         pi = search(tree, sims, tau=0.0)
         tree.advance_root(tree.root.actions[int(np.argmax(pi))])
@@ -262,11 +280,7 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     for it in range(1, cfg.train_iterations + 1):
         t0 = time.perf_counter()
 
-        def play_evaluator(g: Graph):
-            table = candidate.cache.table(g, candidate.store, cfg, candidate.version)
-            return NetEvaluator(candidate.store, cfg, table)
-
-        results = run_selfplay(train_graphs, cfg, play_evaluator, baseline,
+        results = run_selfplay(train_graphs, cfg, lambda g: candidate.evaluator(g, cfg), baseline,
                                buffer, seed=int(mix64(cfg.seed, 2, it)),
                                log_path=episode_log)
         win_rate = (float(np.mean([r.z is Outcome.WIN for r in results]))

@@ -4,10 +4,10 @@ All stochastic behaviour in the package flows through two primitives:
 
 * ``make_rng(seed)`` -- a named, fixed generator (PCG64) for sequential
   draws (graph generation, move sampling, replay sampling).
-* ``mix64`` / ``counter_uniform`` -- a stateless splitmix64-style hash for
-  counter-based draws, used where a value must be reproducible from its
-  coordinates alone (for example the random neighbour picked for vertex
-  ``i`` at message iteration ``t``), independent of evaluation order.
+* ``mix64`` -- a stateless splitmix64-style hash for counter-based
+  draws, used where a value must be reproducible from its coordinates
+  alone (for example the random neighbour picked for vertex ``i`` at
+  message iteration ``t``), independent of evaluation order.
 
 The generator name is part of the on-disk config so checkpoints pin it.
 """
@@ -50,14 +50,3 @@ def mix64(*words: int | np.ndarray) -> np.ndarray | np.uint64:
         return np.uint64(acc)
     return acc
 
-
-def counter_uniform(*words: int | np.ndarray) -> np.ndarray | float:
-    """Uniform float in [0, 1) derived by hashing the given coordinates."""
-    h = mix64(*words)
-    return np.asarray(h, dtype=np.uint64).astype(np.float64) / float(2**64) if np.ndim(h) else float(h) / float(2**64)
-
-
-def counter_index(bound: int | np.ndarray, *words: int | np.ndarray):
-    """Integer in [0, bound) from hashed coordinates. ``bound`` must be > 0."""
-    h = mix64(*words)
-    return (np.asarray(h, dtype=np.uint64) % np.asarray(bound, dtype=np.uint64)).astype(np.int64) if np.ndim(h) or np.ndim(bound) else int(int(h) % int(bound))

@@ -20,6 +20,7 @@ from .coloring import ColoringState, Outcome, compute_order, outcome_vs_baseline
 from .config import Config
 from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
+from .fastcolornet import build_contexts, freeze, policy_forward
 from .graph import Graph
 from .mcts import SearchTree, search
 from .rng import make_rng, mix64
@@ -35,20 +36,24 @@ class GreedyPolicy:
 
 
 class NetPolicy:
-    """Greedy argmax of a P-network snapshot, no search."""
+    """Greedy argmax of the P-network, no search.
 
-    def __init__(self, store, cfg: Config, cache: "EmbeddingCache", version: int):
+    ``net`` is the frozen snapshot of ``store`` at ``version``; it is
+    built here when the caller has none to share.
+    """
+
+    def __init__(self, store, cfg: Config, cache: "EmbeddingCache", version: int,
+                 net=None):
         self.store = store
         self.cfg = cfg
         self.cache = cache
         self.version = version
+        self.net = net if net is not None else freeze(store, cfg)
 
     def choose(self, state: ColoringState) -> int:
-        from .fastcolornet import evaluate
-
         table = self.cache.table(state.graph, self.store, self.cfg, self.version)
-        out = evaluate(self.store, self.cfg, state, table)
-        return int(out.actions[int(np.argmax(out.p))])
+        mi = build_contexts(state, table, self.cfg)
+        return int(mi.actions[int(np.argmax(policy_forward(self.net, self.cfg, mi)))])
 
 
 class EmbeddingCache:

@@ -10,7 +10,6 @@ from fastcolor.coloring import (
     ActionSet,
     ColoringState,
     Outcome,
-    apply_action,
     brute_force_chromatic,
     check_proper,
     compute_order,
@@ -65,11 +64,13 @@ class TestActionsAndTransitions:
         assert acts.existing == (0,) and acts.new_color == 1
         assert acts.size == 2
 
-    def test_apply_action_is_pure(self, k4):
+    def test_clone_is_independent(self, k4):
         state = ColoringState(k4)
-        nxt = apply_action(state, 0)
+        nxt = state.clone()
+        nxt.apply_inplace(0)
         assert state.t == 0 and nxt.t == 1
         assert state.colors_used == 0 and nxt.colors_used == 1
+        assert state.color_of[0] == -1 and state.color_members == []
 
     def test_conflicting_action_rejected(self, k4):
         state = ColoringState(k4)
@@ -207,7 +208,36 @@ class TestBruteForce:
             assert chrom >= 2
 
 
+def reference_check_proper(g: Graph, assignment: np.ndarray) -> str | None:
+    """Per-vertex loop: the message check_proper raises, or None."""
+    if (assignment < 0).any():
+        return f"vertex {int(np.flatnonzero(assignment < 0)[0])} is uncolored"
+    for v in range(g.n):
+        row = g.neighbors_of(v)
+        hits = row[assignment[row] == assignment[v]]
+        if hits.size:
+            return f"edge ({v}, {int(hits[0])}) is monochromatic"
+    return None
+
+
 class TestProperness:
+    @given(st.integers(0, 16), st.floats(0.0, 0.9), st.integers(0, 999), st.integers(1, 5),
+           st.floats(0.0, 0.3))
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_checks_match_loop(self, n, p, seed, colors, uncolored):
+        g = gen_er(n, p, seed)
+        rng = np.random.default_rng(seed)
+        assignment = rng.integers(0, colors, size=n)
+        assignment[rng.random(n) < uncolored] = -1
+        want = reference_check_proper(g, assignment)
+        assert is_proper(g, assignment) == (want is None)
+        if want is None:
+            check_proper(g, assignment)
+        else:
+            with pytest.raises(ContractError) as err:
+                check_proper(g, assignment)
+            assert str(err.value) == want
+
     def test_check_proper_names_offender(self, k4):
         with pytest.raises(ContractError, match="monochromatic"):
             check_proper(k4, np.array([0, 0, 1, 2]))

@@ -1,9 +1,13 @@
 """Context assembly, the two networks, the joint loss, and training steps."""
 
+import dataclasses
+import importlib
 import logging
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import ColoringState, Outcome
 from fastcolor.config import Config
@@ -18,13 +22,20 @@ from fastcolor.fastcolornet import (
     fcn_loss,
     fcn_train_step,
     forward_backward,
+    freeze,
     graph_context,
     init_fastcolornet,
     p_forward,
+    policy_forward,
+    policy_value_forward,
     v_forward,
 )
+import fastcolor
+from fastcolor import nn
 from fastcolor.graph import Graph, gen_er
+from fastcolor.mcts import NetEvaluator
 from fastcolor.nn import AdamState, ParamStore, finite_diff_check
+from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
 
 from conftest import complete_graph, path_graph, cycle_graph
@@ -420,3 +431,139 @@ class TestTrainStep:
         assert stats["walks"] == 5
         assert stats["capped_moves"] == 0
         assert "clamps" in stats
+
+
+# -- frozen inference ----------------------------------------------------
+
+
+def randomize_inference_params(store: ParamStore, rng) -> None:
+    """Batchnorm statistics away from the identity and non-zero heads."""
+    for name in store.names():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("gamma", "beta", "_running_mean") or ".head." in name:
+            store[name] = rng.normal(size=store[name].shape)
+        elif leaf == "_running_var":
+            store[name] = rng.uniform(0.1, 4.0, size=store[name].shape)
+
+
+class TestFrozenInference:
+    @given(n=st.integers(2, 12), p=st.floats(0.1, 0.9), seed=st.integers(0, 999),
+           pool=st.sampled_from(["mean", "max"]), seq2seq=st.booleans(),
+           pool_context=st.booleans(), dtype=st.sampled_from(["float64", "float32"]))
+    @settings(max_examples=40, deadline=None)
+    def test_snapshot_matches_eval_mode_forward(self, n, p, seed, pool, seq2seq,
+                                                pool_context, dtype):
+        cfg = tiny_cfg(pool=pool, candidate_seq2seq=seq2seq,
+                       pool_problem_context=pool_context, dtype=dtype)
+        tol = 1e-9 if dtype == "float64" else 1e-4
+        g = gen_er(n, p, seed)
+        store = init_fastcolornet(cfg, seed=seed)
+        randomize_inference_params(store, make_rng(seed))
+        table = compute_embeddings(g, store, cfg, seed=seed)
+        net = freeze(store, cfg)
+        state = ColoringState(g)
+        rng = make_rng(seed + 1)
+        while not state.is_terminal:
+            mi = build_contexts(state, table, cfg)
+            # reference: the eval-mode training forward on float64 contexts
+            pc = mi.pc[None].astype(np.float64)
+            cands = [mi.cand_sets.astype(np.float64)]
+            v3, _, _ = v_forward(store, cfg, [mi], training=False, pc_override=pc)
+            p_ref, _, _ = p_forward(store, cfg, [mi], training=False,
+                                    pc_override=pc, cand_override=cands)
+            p_ref = p_ref[0]
+            got_p, got_v3 = policy_value_forward(net, cfg, mi)
+            assert np.abs(got_p - p_ref).max() <= tol
+            assert np.abs(got_v3 - v3[0]).max() <= tol
+            assert np.array_equal(policy_forward(net, cfg, mi), got_p)
+            top = np.sort(p_ref)[::-1]
+            if top.size == 1 or top[0] - top[1] > tol:
+                assert np.argmax(got_p) == np.argmax(p_ref)
+            state.apply_inplace(mi.actions[rng.integers(len(mi.actions))])
+
+    def test_evaluate_matches_snapshot_path(self):
+        cfg = tiny_cfg()
+        store, table, state = setup_state(cycle_graph(7), cfg, moves=(0, 1))
+        randomize_inference_params(store, make_rng(3))
+        out = evaluate(store, cfg, state, table)
+        p, v3 = policy_value_forward(freeze(store, cfg), cfg, build_contexts(state, table, cfg))
+        assert np.array_equal(out.p, p) and np.array_equal(out.v3, v3)
+        assert out.v == float(v3[0] - v3[2])
+
+    def test_snapshot_outlives_parameter_updates(self):
+        # adam_step replaces the store's arrays, so a snapshot keeps
+        # describing the version it was frozen from
+        cfg = tiny_cfg()
+        g, store, table, batch = _training_batch(cfg)
+        randomize_inference_params(store, make_rng(4))
+        mi = batch[0].move
+        net = freeze(store, cfg)
+        before = policy_value_forward(net, cfg, mi)
+        adam = AdamState.for_store(store, lr=0.05)
+        fcn_train_step(batch, store, cfg, adam, make_rng(0))
+        after = policy_value_forward(net, cfg, mi)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert not np.array_equal(policy_value_forward(freeze(store, cfg), cfg, mi)[1], before[1])
+
+    def test_model_freezes_once_per_version(self):
+        cfg = tiny_cfg()
+        model = Model(init_fastcolornet(cfg))
+        net = model.net(cfg)
+        assert model.net(cfg) is net
+        assert model.policy(cfg).net is net
+        assert model.evaluator(path_graph(4), cfg).net is net
+        model.version += 1
+        assert model.net(cfg) is not net
+
+
+def spy_layer_inputs(monkeypatch) -> list[np.dtype]:
+    """Record the dtype of every array passed to dense/conv1d forward,
+    wherever a fastcolor module looks the function up."""
+    seen: list[np.dtype] = []
+    modules = [importlib.import_module(f"fastcolor.{m.name}")
+               for m in pkgutil.iter_modules(fastcolor.__path__)]
+    for original in (nn.dense_forward, nn.conv1d_forward):
+        def spy(*args, _fn=original):
+            seen.extend(a.dtype for a in args)
+            return _fn(*args)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy)
+    return seen
+
+
+class TestDtype:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inference_computes_in_config_dtype(self, dtype, monkeypatch):
+        cfg = tiny_cfg(dtype=dtype)
+        g = gen_er(12, 0.4, seed=3)
+        model = Model(init_fastcolornet(cfg))
+        seen = spy_layer_inputs(monkeypatch)
+        policy_colors(g, model.policy(cfg), cfg)
+        state = ColoringState(g)
+        for evaluator in (model.evaluator(g, cfg),
+                          NetEvaluator(model.store, cfg, model.cache.table(g, model.store,
+                                                                           cfg, 0))):
+            evaluator.evaluate(state)
+        assert seen and set(seen) == {np.dtype(dtype)}
+
+    def test_training_ignores_context_dtype(self):
+        cfg = tiny_cfg(dtype="float32", walk_rate=0.5)
+        g, store, table, batch = _training_batch(cfg, n_moves=4)
+        assert {tm.move.pc.dtype for tm in batch} == {np.dtype(np.float32)}
+        wide = [dataclasses.replace(tm.move, gc=tm.move.gc.astype(np.float64),
+                                    pc=tm.move.pc.astype(np.float64),
+                                    cand_sets=tm.move.cand_sets.astype(np.float64))
+                for tm in batch]
+        pis = [tm.pi for tm in batch]
+        zs = [tm.z for tm in batch]
+        walks = draw_walks(wide, cfg, make_rng(4))
+        assert walks
+        runs = [forward_backward(moves, pis, zs, store.copy(), cfg, walks, training=True)
+                for moves in ([tm.move for tm in batch], wide)]
+        (loss_a, grads_a, _), (loss_b, grads_b, _) = runs
+        assert loss_a == loss_b
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name]), name

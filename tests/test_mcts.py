@@ -5,7 +5,6 @@ import pytest
 
 from fastcolor.coloring import (
     ColoringState,
-    apply_action,
     brute_force_chromatic,
     greedy_color,
     outcome_vs_baseline,
@@ -36,6 +35,12 @@ def greedy_cum(g: Graph) -> np.ndarray:
         state.apply_inplace(state.greedy_action())
         cum.append(state.colors_used)
     return np.asarray(cum, dtype=np.int64)
+
+
+def stepped(state: ColoringState, action: int) -> ColoringState:
+    nxt = state.clone()
+    nxt.apply_inplace(action)
+    return nxt
 
 
 def make_tree(g: Graph, state: ColoringState | None = None, t_end: int | None = None, **kw):
@@ -203,7 +208,7 @@ class TestSearch:
             if state.t >= t_end:
                 return outcome_vs_baseline(state.colors_used, int(cum[t_end])).game_value
             aset = state.valid_actions()
-            return max(best_outcome(apply_action(state, a))
+            return max(best_outcome(stepped(state, a))
                        for a in list(aset.existing) + [aset.new_color])
 
         state = ColoringState(g)
@@ -213,7 +218,7 @@ class TestSearch:
                           t_end=t_end, baseline_cum=cum)
         search(tree, 3000)
         chosen = int(np.argmax(tree.root.visits))
-        achievable = best_outcome(apply_action(state, tree.root.actions[chosen]))
+        achievable = best_outcome(stepped(state, tree.root.actions[chosen]))
         assert achievable == optimal
         assert abs(tree.root.value[chosen] - optimal) <= 0.15
 
