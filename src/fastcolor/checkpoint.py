@@ -1,4 +1,4 @@
-"""Single-file tensor serialization for checkpoints and embedding caches.
+"""Single-file tensor serialization for checkpoints.
 
 The format is a text manifest followed by one raw little-endian blob:
 
@@ -11,8 +11,7 @@ The format is a text manifest followed by one raw little-endian blob:
 Offsets index into the blob, so readers can load tensors lazily and a
 round trip is bit-exact. Checkpoints store model parameters, optimizer
 moments, the configuration hash, the training iteration, and the gating
-history; embedding caches store one per-iteration table stack keyed by
-(graph hash, parameter hash, T, L, seed).
+history.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingTable
 from .errors import ParseError
 from .nn import AdamState, ParamStore
 
@@ -34,9 +32,6 @@ __all__ = [
     "Checkpoint",
     "save_checkpoint",
     "load_checkpoint",
-    "embedding_cache_name",
-    "save_embedding_cache",
-    "load_embedding_cache",
 ]
 
 
@@ -171,34 +166,3 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(params=params, adam=adam, config_hash=config_hash,
                       iteration=iteration, gate_history=gate_history)
 
-
-# -- embedding caches --------------------------------------------------
-
-
-def embedding_cache_name(graph_key: str, theta_hash: str, iterations: int,
-                         lstm_steps: int, seed: int) -> str:
-    return f"emb_{graph_key[:16]}_{theta_hash[:16]}_T{iterations}_L{lstm_steps}_s{seed}.bin"
-
-
-def save_embedding_cache(path: str, table: EmbeddingTable, theta_hash: str, lstm_steps: int) -> None:
-    meta = {
-        "kind": "embedding-cache",
-        "graph_key": table.graph_key,
-        "theta_hash": theta_hash,
-        "iterations": str(table.iterations),
-        "lstm_steps": str(lstm_steps),
-        "seed": str(table.seed),
-    }
-    write_tensors(path, {"tables": table.tables}, meta)
-
-
-def load_embedding_cache(path: str) -> tuple[EmbeddingTable, dict[str, str]]:
-    tensors, meta = read_tensors(path)
-    if meta.get("kind") != "embedding-cache":
-        raise ParseError(f"{path}: not an embedding cache file")
-    try:
-        table = EmbeddingTable(graph_key=meta["graph_key"], seed=int(meta["seed"]),
-                               iterations=int(meta["iterations"]), tables=tensors["tables"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: incomplete embedding cache: {exc}") from None
-    return table, meta

@@ -58,7 +58,6 @@ class Config:
     pool: str = "mean"  # or "max"
     pool_problem_context: bool = True  # False feeds the raw sequence per candidate
     candidate_seq2seq: bool = True
-    recent_color_sample: str = "recent"  # or "random": which m vertices per color
     dtype: str = "float32"
     init_seed: int = 7
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import ColoringState, Outcome
+from .coloring import ActionSet, ColoringState, Outcome
 from .embedding import (
     EmbeddingTable,
     encode_multihot,
@@ -47,7 +47,7 @@ from .nn import (
     init_dense,
     softmax,
 )
-from .rng import make_rng, mix64
+from .rng import make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -113,9 +113,10 @@ class TrainMove:
     z: Outcome
 
 
-def graph_context(state: ColoringState, cfg) -> np.ndarray:
+def graph_context(state: ColoringState, aset: ActionSet, cfg) -> np.ndarray:
     """Four stacked feature-bin blocks: vertex count (log2 bucketed),
-    colors used, vertices colored so far, and the valid-color multi-hot."""
+    colors used, vertices colored so far, and the multi-hot of the valid
+    existing colors in ``aset`` (the state's action set)."""
     g = state.graph
     bins = cfg.feature_bins
     maxc = g.max_degree + 1
@@ -124,8 +125,7 @@ def graph_context(state: ColoringState, cfg) -> np.ndarray:
     count_block[min(bins - 1, g.n.bit_length() - 1)] = 1.0
     used_block = onehot_vector(min(state.colors_used, maxc), maxc, bins)
     progress_block = onehot_vector(state.t, g.n, bins)
-    existing = state.valid_actions().existing
-    valid_block = encode_multihot([min(c, maxc) for c in existing], maxc, bins)
+    valid_block = encode_multihot([min(c, maxc) for c in aset.existing], maxc, bins)
     return np.concatenate([count_block, used_block, progress_block, valid_block])
 
 
@@ -160,21 +160,12 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     cand_sets = np.zeros((k, m, dim), dtype=rows.dtype)
     cand_vertices = np.full((k, m), -1, dtype=np.int64)
     for ci, color in enumerate(existing):
-        members = state.color_members[color]
-        if cfg.recent_color_sample == "random" and len(members) > m:
-            keys = np.asarray(mix64(
-                np.full(len(members), table.seed, dtype=np.uint64),
-                np.full(len(members), t, dtype=np.uint64),
-                np.full(len(members), color, dtype=np.uint64),
-                np.arange(len(members), dtype=np.uint64)))
-            take = [members[i] for i in np.argsort(keys)[:m]]
-        else:
-            take = members[-m:][::-1]  # most recent first
-        for si, v in enumerate(take[:m]):
+        # the m most recent members, newest first
+        for si, v in enumerate(state.color_members[color][-m:][::-1]):
             cand_sets[ci, si] = rows[v]
             cand_vertices[ci, si] = v
 
-    gc = graph_context(state, cfg).astype(rows.dtype)
+    gc = graph_context(state, aset, cfg).astype(rows.dtype)
     return MoveInput(table=table, graph=g, gc=gc,
                      pc=pc, pc_vertices=pc_vertices, cand_sets=cand_sets,
                      cand_vertices=cand_vertices,
@@ -184,18 +175,15 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
 # -- parameter layout --------------------------------------------------
 
 
-def _init_conv_stack(store: ParamStore, prefix: str, c_in: int, cfg, rng) -> None:
-    for i in range(cfg.seq_layers):
-        cin = c_in if i == 0 else cfg.seq_channels
-        init_conv1d(store, f"{prefix}.{i}", cfg.seq_filter, cin, cfg.seq_channels, rng)
-        init_batchnorm(store, f"{prefix}.{i}.bn", cfg.seq_channels)
-
-
-def _init_fc_stack(store: ParamStore, prefix: str, c_in: int, width: int,
-                   layers: int, rng) -> None:
+def _init_stack(store: ParamStore, prefix: str, c_in: int, width: int, layers: int,
+                rng, filter_size: int | None = None) -> None:
+    """Dense layers, or 1-d convolutions of ``filter_size`` taps, each with a batchnorm."""
     for i in range(layers):
         cin = c_in if i == 0 else width
-        init_dense(store, f"{prefix}.{i}", cin, width, rng)
+        if filter_size is None:
+            init_dense(store, f"{prefix}.{i}", cin, width, rng)
+        else:
+            init_conv1d(store, f"{prefix}.{i}", filter_size, cin, width, rng)
         init_batchnorm(store, f"{prefix}.{i}.bn", width)
 
 
@@ -210,15 +198,17 @@ def init_fastcolornet(cfg, seed: int | None = None) -> ParamStore:
     init_transfer_params(store, cfg, rng)
 
     gc_width = 4 * cfg.feature_bins
-    _init_conv_stack(store, "v.seq", cfg.embed_dim, cfg, rng)
-    _init_fc_stack(store, "v.fc", gc_width + cfg.seq_channels, cfg.v_width, cfg.v_layers, rng)
+    _init_stack(store, "v.seq", cfg.embed_dim, cfg.seq_channels, cfg.seq_layers, rng,
+                cfg.seq_filter)
+    _init_stack(store, "v.fc", gc_width + cfg.seq_channels, cfg.v_width, cfg.v_layers, rng)
     init_dense(store, "v.head", cfg.v_width, 3, rng, zero=True)
 
     pc_width = cfg.embed_dim if cfg.pool_problem_context else 2 * cfg.window * cfg.embed_dim
     cand_in = gc_width + pc_width + cfg.color_set_size * cfg.embed_dim
-    _init_fc_stack(store, "p.fc", cand_in, cfg.p_width, cfg.p_layers, rng)
+    _init_stack(store, "p.fc", cand_in, cfg.p_width, cfg.p_layers, rng)
     if cfg.candidate_seq2seq:
-        _init_conv_stack(store, "p.seq", cfg.p_width, cfg, rng)
+        _init_stack(store, "p.seq", cfg.p_width, cfg.seq_channels, cfg.seq_layers, rng,
+                    cfg.seq_filter)
         init_dense(store, "p.head", cfg.seq_channels, 1, rng, zero=True)
     else:
         init_dense(store, "p.head", cfg.p_width, 1, rng, zero=True)
@@ -228,121 +218,61 @@ def init_fastcolornet(cfg, seed: int | None = None) -> ParamStore:
 # -- stacks ------------------------------------------------------------
 
 
-def _conv_stack_forward(store, prefix, x, cfg, training):
-    """x (B, S, C_in) -> (B, S, C); residual whenever channels match."""
-    caches = []
-    for i in range(cfg.seq_layers):
-        y, conv_cache = conv1d_forward(x, store[f"{prefix}.{i}.k"], store[f"{prefix}.{i}.b"])
-        y, bn_cache = batchnorm_forward(
-            y, store[f"{prefix}.{i}.bn.gamma"], store[f"{prefix}.{i}.bn.beta"],
-            store[f"{prefix}.{i}.bn._running_mean"], store[f"{prefix}.{i}.bn._running_var"],
-            training)
-        mask = y > 0
-        y = y * mask
-        skip = x.shape[-1] == y.shape[-1]
-        out = x + y if skip else y
-        caches.append((conv_cache, bn_cache, mask, skip))
-        x = out
-    return x, caches
+def _stack_forward(store, prefix, x, layers, training, grid=None):
+    """Residual blocks over rows x (N, C_in): layer -> batchnorm -> ReLU,
+    plus the block's input whenever the channel counts match.
 
-
-def _conv_stack_backward(store, prefix, dout, caches, cfg, grads):
-    for i in reversed(range(cfg.seq_layers)):
-        conv_cache, bn_cache, mask, skip = caches[i]
-        dy = dout * mask
-        dy, dgamma, dbeta = batchnorm_backward(dy, bn_cache)
-        _acc(grads, f"{prefix}.{i}.bn.gamma", dgamma)
-        _acc(grads, f"{prefix}.{i}.bn.beta", dbeta)
-        dx, dk, db = conv1d_backward(dy, conv_cache)
-        _acc(grads, f"{prefix}.{i}.k", dk)
-        _acc(grads, f"{prefix}.{i}.b", db)
-        dout = dx + dout if skip else dx
-    return dout
-
-
-def _conv_stack_forward_list(store, prefix, seqs, cfg, training):
-    """Variable-length sequences; batchnorm statistics are shared across
-    the whole batch, so conv runs per sequence but normalization is joint."""
-    lengths = [s.shape[0] for s in seqs]
-    xs = list(seqs)
-    caches = []
-    for i in range(cfg.seq_layers):
-        conv_caches = []
-        ys = []
-        for x in xs:
-            y, cc = conv1d_forward(x[None, :, :], store[f"{prefix}.{i}.k"], store[f"{prefix}.{i}.b"])
-            ys.append(y[0])
-            conv_caches.append(cc)
-        flat = np.concatenate(ys, axis=0)
-        flat, bn_cache = batchnorm_forward(
-            flat, store[f"{prefix}.{i}.bn.gamma"], store[f"{prefix}.{i}.bn.beta"],
-            store[f"{prefix}.{i}.bn._running_mean"], store[f"{prefix}.{i}.bn._running_var"],
-            training)
-        mask = flat > 0
-        flat = flat * mask
-        skip = xs[0].shape[-1] == flat.shape[-1]
-        outs = []
-        pos = 0
-        for x, n in zip(xs, lengths):
-            piece = flat[pos:pos + n]
-            outs.append(x + piece if skip else piece)
-            pos += n
-        caches.append((conv_caches, bn_cache, mask, skip))
-        xs = outs
-    return xs, (caches, lengths)
-
-
-def _conv_stack_backward_list(store, prefix, douts, cache, cfg, grads):
-    caches, lengths = cache
-    douts = list(douts)
-    for i in reversed(range(cfg.seq_layers)):
-        conv_caches, bn_cache, mask, skip = caches[i]
-        flat_dout = np.concatenate(douts, axis=0)
-        dy = flat_dout * mask
-        dy, dgamma, dbeta = batchnorm_backward(dy, bn_cache)
-        _acc(grads, f"{prefix}.{i}.bn.gamma", dgamma)
-        _acc(grads, f"{prefix}.{i}.bn.beta", dbeta)
-        new_douts = []
-        pos = 0
-        for sl, cc, dout in zip(lengths, conv_caches, douts):
-            dx, dk, db = conv1d_backward(dy[pos:pos + sl][None, :, :], cc)
-            _acc(grads, f"{prefix}.{i}.k", dk)
-            _acc(grads, f"{prefix}.{i}.b", db)
-            new_douts.append(dx[0] + dout if skip else dx[0])
-            pos += sl
-        douts = new_douts
-    return douts
-
-
-def _fc_stack_forward(store, prefix, x, layers, training):
+    Without ``grid`` each layer is dense. A boolean ``grid`` (B, S) marks
+    the cells of a zero-padded (B, S, C) layout that hold the N rows in
+    row-major order; each layer is then a 1-d convolution over that
+    layout, so every row of the grid is one sequence with its own zero
+    padding. Batchnorm statistics are joint over the N rows either way.
+    """
     caches = []
     for i in range(layers):
-        y, dense_cache = dense_forward(x, store[f"{prefix}.{i}.w"], store[f"{prefix}.{i}.b"])
+        name = f"{prefix}.{i}"
+        if grid is None:
+            y, layer_cache = dense_forward(x, store[f"{name}.w"], store[f"{name}.b"])
+        else:
+            y, layer_cache = conv1d_forward(_scatter(x, grid), store[f"{name}.k"],
+                                            store[f"{name}.b"])
+            y = y[grid]
         y, bn_cache = batchnorm_forward(
-            y, store[f"{prefix}.{i}.bn.gamma"], store[f"{prefix}.{i}.bn.beta"],
-            store[f"{prefix}.{i}.bn._running_mean"], store[f"{prefix}.{i}.bn._running_var"],
-            training)
+            y, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
+            store[f"{name}.bn._running_mean"], store[f"{name}.bn._running_var"], training)
         mask = y > 0
         y = y * mask
         skip = x.shape[-1] == y.shape[-1]
-        out = x + y if skip else y
-        caches.append((dense_cache, bn_cache, mask, skip))
-        x = out
-    return x, caches
+        x = x + y if skip else y
+        caches.append((layer_cache, bn_cache, mask, skip))
+    return x, (caches, grid)
 
 
-def _fc_stack_backward(store, prefix, dout, caches, grads):
+def _stack_backward(store, prefix, dout, cache, grads):
+    caches, grid = cache
     for i in reversed(range(len(caches))):
-        dense_cache, bn_cache, mask, skip = caches[i]
-        dy = dout * mask
-        dy, dgamma, dbeta = batchnorm_backward(dy, bn_cache)
-        _acc(grads, f"{prefix}.{i}.bn.gamma", dgamma)
-        _acc(grads, f"{prefix}.{i}.bn.beta", dbeta)
-        dx, dw, db = dense_backward(dy, dense_cache)
-        _acc(grads, f"{prefix}.{i}.w", dw)
-        _acc(grads, f"{prefix}.{i}.b", db)
+        name = f"{prefix}.{i}"
+        layer_cache, bn_cache, mask, skip = caches[i]
+        dy, dgamma, dbeta = batchnorm_backward(dout * mask, bn_cache)
+        _acc(grads, f"{name}.bn.gamma", dgamma)
+        _acc(grads, f"{name}.bn.beta", dbeta)
+        if grid is None:
+            dx, dw, db = dense_backward(dy, layer_cache)
+            _acc(grads, f"{name}.w", dw)
+        else:
+            dx, dw, db = conv1d_backward(_scatter(dy, grid), layer_cache)
+            dx = dx[grid]
+            _acc(grads, f"{name}.k", dw)
+        _acc(grads, f"{name}.b", db)
         dout = dx + dout if skip else dx
     return dout
+
+
+def _scatter(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    # rows (N, C) -> (B, S, C), zero wherever grid is False
+    out = np.zeros(grid.shape + rows.shape[1:], dtype=rows.dtype)
+    out[grid] = rows
+    return out
 
 
 def _acc(grads: dict, name: str, val: np.ndarray) -> None:
@@ -361,7 +291,7 @@ def _pool_forward(x: np.ndarray, kind: str):
 
 
 def _pool_backward(dp: np.ndarray, x_shape, kind: str, idx):
-    b, s, c = x_shape
+    s = x_shape[1]
     if kind == "mean":
         return np.broadcast_to(dp[:, None, :] / s, x_shape).copy()
     dx = np.zeros(x_shape, dtype=dp.dtype)
@@ -374,13 +304,16 @@ def _pool_backward(dp: np.ndarray, x_shape, kind: str, idx):
 
 def v_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
               pc_override: np.ndarray | None = None):
-    """Outcome head over a batch of moves; returns (v3 (B,3), cache)."""
+    """Outcome head over a batch of moves; returns (v3 (B,3), logits, cache)."""
     pc = pc_override if pc_override is not None else np.stack([mi.pc for mi in moves])
     gc = np.stack([mi.gc for mi in moves])
-    seq_out, seq_cache = _conv_stack_forward(store, "v.seq", pc, cfg, training)
+    b, s, dim = pc.shape
+    seq_out, seq_cache = _stack_forward(store, "v.seq", pc.reshape(b * s, dim), cfg.seq_layers,
+                                        training, grid=np.ones((b, s), dtype=bool))
+    seq_out = seq_out.reshape(b, s, -1)
     pooled, pool_idx = _pool_forward(seq_out, cfg.pool)
     h = np.concatenate([gc, pooled], axis=1)
-    fc_out, fc_cache = _fc_stack_forward(store, "v.fc", h, cfg.v_layers, training)
+    fc_out, fc_cache = _stack_forward(store, "v.fc", h, cfg.v_layers, training)
     logits, head_cache = dense_forward(fc_out, store["v.head.w"], store["v.head.b"])
     v3 = softmax(logits)
     cache = (seq_cache, pool_idx, seq_out.shape, fc_cache, head_cache, gc.shape[1])
@@ -392,82 +325,62 @@ def v_backward(store: ParamStore, cfg, dlogits: np.ndarray, cache, grads: dict) 
     dh, dw, db = dense_backward(dlogits, head_cache)
     _acc(grads, "v.head.w", dw)
     _acc(grads, "v.head.b", db)
-    dh = _fc_stack_backward(store, "v.fc", dh, fc_cache, grads)
-    dpooled = dh[:, gc_width:]
-    dseq = _pool_backward(dpooled, seq_shape, cfg.pool, pool_idx)
-    return _conv_stack_backward(store, "v.seq", dseq, seq_cache, cfg, grads)
+    dh = _stack_backward(store, "v.fc", dh, fc_cache, grads)
+    dseq = _pool_backward(dh[:, gc_width:], seq_shape, cfg.pool, pool_idx)
+    b, s, c = seq_shape
+    d_pc = _stack_backward(store, "v.seq", dseq.reshape(b * s, c), seq_cache, grads)
+    return d_pc.reshape(b, s, -1)
 
 
 def p_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
               pc_override: np.ndarray | None = None,
               cand_override: list[np.ndarray] | None = None):
     """Candidate scores; returns (list of p vectors, list of logits, cache)."""
-    sizes = [mi.cand_sets.shape[0] for mi in moves]
-    if any(k == 0 for k in sizes):
+    sizes = np.array([mi.cand_sets.shape[0] for mi in moves])
+    if (sizes == 0).any():
         raise ContractError("every move must offer at least one candidate")
     pc = pc_override if pc_override is not None else np.stack([mi.pc for mi in moves])
     if cfg.pool_problem_context:
-        pc_feat = pc.mean(axis=1) if cfg.pool == "mean" else pc.max(axis=1)
-        pc_pool_idx = None if cfg.pool == "mean" else pc.argmax(axis=1)
+        pc_feat, pc_pool_idx = _pool_forward(pc, cfg.pool)
     else:
-        pc_feat = pc.reshape(pc.shape[0], -1)
-        pc_pool_idx = None
-    rows = []
-    for b, mi in enumerate(moves):
-        cand = cand_override[b] if cand_override is not None else mi.cand_sets
-        k = cand.shape[0]
-        head = np.concatenate([mi.gc, pc_feat[b]])
-        rows.append(np.concatenate(
-            [np.broadcast_to(head, (k, head.size)), cand.reshape(k, -1)], axis=1))
-    x = np.concatenate(rows, axis=0)
-    feats, fc_cache = _fc_stack_forward(store, "p.fc", x, cfg.p_layers, training)
+        pc_feat, pc_pool_idx = pc.reshape(pc.shape[0], -1), None
+    gc = np.stack([mi.gc for mi in moves])
+    cands = cand_override if cand_override is not None else [mi.cand_sets for mi in moves]
+    head = np.concatenate([gc, pc_feat], axis=1)
+    x = np.concatenate([np.repeat(head, sizes, axis=0),
+                        np.concatenate([c.reshape(c.shape[0], -1) for c in cands])], axis=1)
+    feats, fc_cache = _stack_forward(store, "p.fc", x, cfg.p_layers, training)
+    seq_cache = None
     if cfg.candidate_seq2seq:
-        split = np.split(feats, np.cumsum(sizes)[:-1])
-        seq_outs, seq_cache = _conv_stack_forward_list(store, "p.seq", split, cfg, training)
-        flat = np.concatenate(seq_outs, axis=0)
-    else:
-        seq_cache = None
-        flat = feats
-    scores, head_cache = dense_forward(flat, store["p.head.w"], store["p.head.b"])
-    logits_list = np.split(scores[:, 0], np.cumsum(sizes)[:-1])
+        # one zero-padded sequence per move, so conv taps never cross moves
+        grid = np.arange(sizes.max()) < sizes[:, None]
+        feats, seq_cache = _stack_forward(store, "p.seq", feats, cfg.seq_layers, training, grid)
+    scores, head_cache = dense_forward(feats, store["p.head.w"], store["p.head.b"])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    logits_list = np.split(scores[:, 0], starts[1:])
     p_list = [softmax(lg) for lg in logits_list]
-    cache = (sizes, pc.shape, pc_pool_idx, fc_cache, seq_cache, head_cache,
-             [mi.gc.size for mi in moves], pc_feat.shape[1])
+    cache = (starts, pc.shape, pc_pool_idx, fc_cache, seq_cache, head_cache,
+             gc.shape[1], pc_feat.shape[1])
     return p_list, logits_list, cache
 
 
 def p_backward(store: ParamStore, cfg, dlogits_list, cache, grads: dict):
     """Returns (d_pc (B,2w,D), list of d_cand (K,m,D))."""
-    sizes, pc_shape, pc_pool_idx, fc_cache, seq_cache, head_cache, gc_sizes, pcf_width = cache
+    starts, pc_shape, pc_pool_idx, fc_cache, seq_cache, head_cache, gcw, pcfw = cache
     dscores = np.concatenate(dlogits_list)[:, None]
-    dflat, dw, db = dense_backward(dscores, head_cache)
+    dfeats, dw, db = dense_backward(dscores, head_cache)
     _acc(grads, "p.head.w", dw)
     _acc(grads, "p.head.b", db)
-    if cfg.candidate_seq2seq:
-        split = np.split(dflat, np.cumsum(sizes)[:-1])
-        dseqs = _conv_stack_backward_list(store, "p.seq", split, seq_cache, cfg, grads)
-        dfeats = np.concatenate(dseqs, axis=0)
+    if seq_cache is not None:
+        dfeats = _stack_backward(store, "p.seq", dfeats, seq_cache, grads)
+    dx = _stack_backward(store, "p.fc", dfeats, fc_cache, grads)
+    # every candidate row of a move saw the same problem context
+    d_pcf = np.add.reduceat(dx[:, gcw:gcw + pcfw], starts, axis=0)
+    if cfg.pool_problem_context:
+        d_pc = _pool_backward(d_pcf, pc_shape, cfg.pool, pc_pool_idx)
     else:
-        dfeats = dflat
-    dx = _fc_stack_backward(store, "p.fc", dfeats, fc_cache, grads)
-
-    b_target, s, dim = pc_shape
-    d_pc = np.zeros(pc_shape)
-    d_cands = []
-    pos = 0
-    for b, k in enumerate(sizes):
-        drows = dx[pos:pos + k]
-        pos += k
-        gcw = gc_sizes[b]
-        d_pcf = drows[:, gcw:gcw + pcf_width].sum(axis=0)
-        if cfg.pool_problem_context:
-            if cfg.pool == "mean":
-                d_pc[b] += d_pcf[None, :] / s
-            else:
-                np.add.at(d_pc[b], (pc_pool_idx[b], np.arange(dim)), d_pcf)
-        else:
-            d_pc[b] += d_pcf.reshape(s, dim)
-        d_cands.append(drows[:, gcw + pcf_width:].reshape(k, -1, dim))
+        d_pc = d_pcf.reshape(pc_shape)
+    d_cands = np.split(dx[:, gcw + pcfw:].reshape(dx.shape[0], -1, pc_shape[2]), starts[1:])
     return d_pc, d_cands
 
 
@@ -546,13 +459,10 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np
 def policy_forward(net: InferenceNet, cfg, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    pc = mi.pc
-    if not cfg.pool_problem_context:
-        pc_feat = pc.reshape(-1)
-    elif cfg.pool == "mean":
-        pc_feat = pc.mean(axis=0)
+    if cfg.pool_problem_context:
+        pc_feat = _pool_forward(mi.pc[None], cfg.pool)[0][0]
     else:
-        pc_feat = pc.max(axis=0)
+        pc_feat = mi.pc.reshape(-1)
     k = mi.cand_sets.shape[0]
     head = np.concatenate([mi.gc, pc_feat])
     x = np.concatenate([np.broadcast_to(head, (k, head.size)),
@@ -569,7 +479,7 @@ def policy_value_forward(net: InferenceNet, cfg, mi: MoveInput) -> tuple[np.ndar
     """(p (K,), v3 (3,)) for one move; what p_forward and v_forward
     compute with training=False."""
     seq = _folded_stack(mi.pc[None], net.v_seq, conv1d_forward)
-    pooled = seq.mean(axis=1) if cfg.pool == "mean" else seq.max(axis=1)
+    pooled, _ = _pool_forward(seq, cfg.pool)
     h = _folded_stack(np.concatenate([mi.gc[None], pooled], axis=1), net.v_fc, dense_forward)
     logits, _ = dense_forward(h, *net.v_head)
     return policy_forward(net, cfg, mi), softmax(logits[0].astype(np.float64))

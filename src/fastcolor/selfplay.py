@@ -130,11 +130,6 @@ def _run_policy(g: Graph, policy, cfg: Config) -> BaselineTrace:
     return BaselineTrace(actions=actions, cumulative=cumulative)
 
 
-def baseline_score(g: Graph, oracle: BaselineOracle, cfg: Config) -> BaselineTrace:
-    """Cumulative color counts of the frozen policy along the episode."""
-    return oracle.trace(g, cfg)
-
-
 def bootstrap_oracle() -> BaselineOracle:
     """Baseline before any model is gated: greedy along the same order."""
     return BaselineOracle(GreedyPolicy())

@@ -1,22 +1,17 @@
-"""Tensor-blob files: checkpoints and embedding caches."""
+"""Tensor-blob files and checkpoints."""
 
 import numpy as np
 import pytest
 
 from fastcolor.checkpoint import (
     Checkpoint,
-    embedding_cache_name,
     load_checkpoint,
-    load_embedding_cache,
     read_tensors,
     save_checkpoint,
-    save_embedding_cache,
     write_tensors,
 )
 from fastcolor.config import Config
-from fastcolor.embedding import compute_embeddings, init_transfer_params
 from fastcolor.errors import ParseError
-from fastcolor.graph import gen_er
 from fastcolor.nn import AdamState, ParamStore, adam_step
 from fastcolor.rng import make_rng
 
@@ -122,31 +117,3 @@ def test_wrong_kind_rejected(tmp_path):
     with pytest.raises(ParseError, match="not a checkpoint"):
         load_checkpoint(path)
 
-
-def test_embedding_cache_round_trip(tmp_path):
-    cfg = Config(feature_bins=8, embed_dim=6, embed_hidden=10, embed_iterations=2)
-    store = ParamStore(dtype=np.float64)
-    init_transfer_params(store, cfg, make_rng(0))
-    g = gen_er(10, 0.4, seed=1)
-    table = compute_embeddings(g, store, cfg, seed=5)
-
-    name = embedding_cache_name(g.key(), "deadbeef", cfg.embed_iterations, cfg.lstm_steps, 5)
-    path = str(tmp_path / name)
-    save_embedding_cache(path, table, "deadbeef", cfg.lstm_steps)
-    back, meta = load_embedding_cache(path)
-
-    assert back.graph_key == g.key() and back.seed == 5 and back.iterations == 2
-    assert np.array_equal(back.tables, table.tables)
-    assert meta["theta_hash"] == "deadbeef" and meta["lstm_steps"] == "2"
-
-
-def test_cache_name_distinguishes_keys():
-    names = {
-        embedding_cache_name("g1" * 20, "h1" * 20, 3, 2, 0),
-        embedding_cache_name("g2" * 20, "h1" * 20, 3, 2, 0),
-        embedding_cache_name("g1" * 20, "h2" * 20, 3, 2, 0),
-        embedding_cache_name("g1" * 20, "h1" * 20, 2, 2, 0),
-        embedding_cache_name("g1" * 20, "h1" * 20, 3, 1, 0),
-        embedding_cache_name("g1" * 20, "h1" * 20, 3, 2, 1),
-    }
-    assert len(names) == 6

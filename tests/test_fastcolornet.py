@@ -16,6 +16,7 @@ from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import (
     MoveInput,
     TrainMove,
+    _stack_forward,
     build_contexts,
     draw_walks,
     evaluate,
@@ -97,7 +98,7 @@ class TestContexts:
         cfg = tiny_cfg()
         g = path_graph(5)
         store, table, state = setup_state(g, cfg, moves=(0,))
-        gc = graph_context(state, cfg)
+        gc = graph_context(state, state.valid_actions(), cfg)
         bins = cfg.feature_bins
         assert gc.shape == (4 * bins,)
         for block in range(3):  # the three one-hot blocks
@@ -237,6 +238,21 @@ class TestForward:
                             actions=[mi.actions[i] for i in perm])
         p_perm, _, _ = p_forward(store, cfg, [swapped], training=False)
         assert np.allclose(p_perm[0], p_base[0][perm])
+
+    @pytest.mark.parametrize("seq2seq", [True, False])
+    def test_batched_moves_score_as_single_moves(self, seq2seq):
+        cfg = tiny_cfg(candidate_seq2seq=seq2seq)
+        g, store, table, batch = _training_batch(cfg, n_moves=6)
+        randomize_inference_params(store, make_rng(6))
+        moves = [tm.move for tm in batch]
+        assert len({len(mi.actions) for mi in moves}) > 1
+        p_list, _, _ = p_forward(store, cfg, moves, training=False)
+        v3, _, _ = v_forward(store, cfg, moves, training=False)
+        for b, mi in enumerate(moves):
+            assert np.allclose(p_list[b], p_forward(store, cfg, [mi], training=False)[0][0],
+                               rtol=0, atol=1e-12)
+            assert np.allclose(v3[b], v_forward(store, cfg, [mi], training=False)[0][0],
+                               rtol=0, atol=1e-12)
 
     def test_empty_candidates_rejected(self):
         cfg = tiny_cfg()
@@ -392,6 +408,49 @@ class TestGradients:
         _, grads_nw, _ = forward_backward(moves, pis, zs, store, cfg, [], training=False)
         assert "emb.in.w" not in grads_nw
 
+    @pytest.mark.parametrize("pool", ["mean", "max"])
+    def test_training_mode_unpooled_context_finite_difference(self, pool):
+        # batch statistics in every batchnorm, the raw problem context in
+        # every candidate row, and moves of different candidate counts, so
+        # the candidate seq2seq runs over a padded grid
+        cfg = tiny_cfg(walk_rate=1.0, walk_budget=1000, pool=pool,
+                       pool_problem_context=False)
+        g = gen_er(12, 0.4, seed=3)
+        store = init_fastcolornet(cfg, seed=2)
+        prng = make_rng(5)
+        store["p.head.w"] = prng.normal(size=store["p.head.w"].shape) * 0.3
+        store["v.head.w"] = prng.normal(size=store["v.head.w"].shape) * 0.3
+        for name in store.trainable_names():
+            if name.endswith((".b", ".beta")):
+                store[name] = prng.normal(size=store[name].shape) * 0.2
+        table = compute_embeddings(g, store, cfg, seed=0)
+        state = ColoringState(g)
+        rng = make_rng(10)
+        moves, pis, zs = [], [], []
+        while not state.is_terminal:
+            mi = build_contexts(state, table, cfg)
+            k = len(mi.actions)
+            if state.t >= cfg.window and state.t % 3 == 0:
+                moves.append(mi)
+                pis.append(rng.dirichlet(np.ones(k)))
+                zs.append([Outcome.WIN, Outcome.TIE, Outcome.LOSE][rng.integers(3)])
+            state.apply_inplace(mi.actions[rng.integers(k)])
+        assert len({len(mi.actions) for mi in moves}) > 1
+        walks = draw_walks(moves, cfg, make_rng(4))
+        assert {kind for _, kind, _, _ in walks} == {"pc", "cand"}
+
+        def loss_fn():
+            return forward_backward(moves, pis, zs, store, cfg, walks, training=True)[0]
+
+        _, grads, _ = forward_backward(moves, pis, zs, store, cfg, walks, training=True)
+        check_names = [n for n in store.trainable_names() if n in grads]
+        for prefix in ("emb.", "v.seq.", "p.fc.", "p.seq."):
+            named = [n for n in check_names if n.startswith(prefix)]
+            assert named and any(grads[n].any() for n in named), prefix
+        worst = finite_diff_check(loss_fn, store, grads, make_rng(8),
+                                  samples_per_tensor=3, names=check_names)
+        assert worst <= 1e-4, f"worst relative error {worst:.3e}"
+
     def test_budget_caps_walk_count(self):
         cfg = tiny_cfg(walk_rate=1.0, walk_budget=3)
         g, store, table, batch = _training_batch(cfg)
@@ -514,6 +573,46 @@ class TestFrozenInference:
         assert model.evaluator(path_graph(4), cfg).net is net
         model.version += 1
         assert model.net(cfg) is not net
+
+
+# -- training stacks -----------------------------------------------------
+
+
+def per_sequence_conv_stack(store, prefix, seqs, layers, training):
+    """Reference for a gridded stack: one convolution per sequence, with
+    batchnorm statistics joint over all rows."""
+    for i in range(layers):
+        name = f"{prefix}.{i}"
+        ys = [nn.conv1d_forward(x[None], store[f"{name}.k"], store[f"{name}.b"])[0][0]
+              for x in seqs]
+        flat, _ = nn.batchnorm_forward(
+            np.concatenate(ys), store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
+            store[f"{name}.bn._running_mean"], store[f"{name}.bn._running_var"], training)
+        flat = np.maximum(flat, 0.0)
+        pieces = np.split(flat, np.cumsum([len(x) for x in seqs])[:-1])
+        seqs = [x + y if x.shape[-1] == y.shape[-1] else y for x, y in zip(seqs, pieces)]
+    return np.concatenate(seqs)
+
+
+class TestStacks:
+    @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+           training=st.booleans(), seed=st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_stack_matches_per_sequence_loop(self, lengths, training, seed):
+        cfg = tiny_cfg(seq_filter=5)
+        store = init_fastcolornet(cfg, seed=seed)
+        randomize_inference_params(store, make_rng(seed))
+        ref_store = store.copy()
+        x = make_rng(seed + 1).normal(size=(sum(lengths), cfg.p_width))
+        sizes = np.array(lengths)
+        grid = np.arange(sizes.max()) < sizes[:, None]
+        got, _ = _stack_forward(store, "p.seq", x, cfg.seq_layers, training, grid)
+        want = per_sequence_conv_stack(ref_store, "p.seq", np.split(x, np.cumsum(sizes)[:-1]),
+                                       cfg.seq_layers, training)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+        for name in store.names():
+            assert np.abs(store[name] - ref_store[name]).max() <= 1e-12, name
 
 
 def spy_layer_inputs(monkeypatch) -> list[np.dtype]:

@@ -20,7 +20,6 @@ from fastcolor.selfplay import (
     NetPolicy,
     ReplayBuffer,
     abort_outcome,
-    baseline_score,
     bootstrap_oracle,
     fast_forward,
     play_segment,
@@ -69,13 +68,13 @@ class WorstPolicy:
 
 class TestBaseline:
     def test_k4_bootstrap_trace(self):
-        trace = baseline_score(complete_graph(4), bootstrap_oracle(), small_cfg())
+        trace = bootstrap_oracle().trace(complete_graph(4), small_cfg())
         assert trace.cumulative.tolist() == [0, 1, 2, 3, 4]
         assert trace.chi == 4
         assert trace.actions.tolist() == [0, 1, 2, 3]
 
     def test_empty_graph_single_color(self):
-        trace = baseline_score(Graph.from_edges(3, []), bootstrap_oracle(), small_cfg())
+        trace = bootstrap_oracle().trace(Graph.from_edges(3, []), small_cfg())
         assert trace.chi == 1
         assert trace.cumulative.tolist() == [0, 1, 1, 1]
         assert trace.actions.tolist() == [0, 0, 0]
@@ -83,8 +82,8 @@ class TestBaseline:
     def test_deterministic_across_oracles(self):
         g = gen_er(20, 0.3, seed=5)
         cfg = small_cfg()
-        a = baseline_score(g, bootstrap_oracle(), cfg)
-        b = baseline_score(g, bootstrap_oracle(), cfg)
+        a = bootstrap_oracle().trace(g, cfg)
+        b = bootstrap_oracle().trace(g, cfg)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.cumulative, b.cumulative)
 
@@ -98,7 +97,7 @@ class TestBaseline:
 
     def test_cumulative_monotone_steps(self):
         g = gen_er(15, 0.5, seed=2)
-        trace = baseline_score(g, bootstrap_oracle(), small_cfg(order_kind="dynamic"))
+        trace = bootstrap_oracle().trace(g, small_cfg(order_kind="dynamic"))
         diff = np.diff(trace.cumulative)
         assert ((diff == 0) | (diff == 1)).all()
         assert trace.cumulative[0] == 0
