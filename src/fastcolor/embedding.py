@@ -13,7 +13,7 @@ off-chain embedding is held constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +130,7 @@ class EmbeddingTable:
     seed: int
     iterations: int
     tables: np.ndarray  # (T+1, V, D)
+    capped_moves: int = field(default=0, compare=False)  # moves cut to candidate_cap
 
     @property
     def final(self) -> np.ndarray:

@@ -154,8 +154,12 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     if len(existing) + 1 > cfg.candidate_cap:
         existing = existing[: cfg.candidate_cap - 1]
         capped = True
-        logger.warning("candidate cap %d hit at t=%d (%d existing colors)",
-                       cfg.candidate_cap, t, len(aset.existing))
+        # counted per table; only a graph's first hit is logged
+        table.capped_moves += 1
+        if table.capped_moves == 1:
+            logger.warning("candidate cap %d hit on %s at t=%d (%d existing colors); "
+                           "later hits on this graph are counted, not logged",
+                           cfg.candidate_cap, table.graph_key, t, len(aset.existing))
     k = len(existing) + 1
     cand_sets = np.zeros((k, m, dim), dtype=rows.dtype)
     cand_vertices = np.full((k, m), -1, dtype=np.int64)
@@ -444,7 +448,11 @@ def freeze(store: ParamStore, cfg) -> InferenceNet:
     )
 
 
-def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np.ndarray:
+def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """The folded blocks in order. ``mask`` (B, S, 1) marks the cells of a
+    zero-padded conv layout that hold rows; the padding cells are zeroed
+    again after every block, so no tap reads another sequence's values."""
     for layer in layers:
         y, _ = forward(x, layer.w, layer.b)
         y *= layer.scale
@@ -452,46 +460,61 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np
         np.maximum(y, 0, out=y)
         if y.shape[-1] == x.shape[-1]:
             y += x
+        if mask is not None:
+            y *= mask
         x = y
     return x
+
+
+def _policy_probs(net: InferenceNet, cfg, moves: list[MoveInput]) -> list[np.ndarray]:
+    # candidate rows of all moves, concatenated; p.seq convolves each
+    # move's rows as one zero-padded sequence, as p_forward does
+    sizes = np.array([mi.cand_sets.shape[0] for mi in moves])
+    pc = np.stack([mi.pc for mi in moves])
+    if cfg.pool_problem_context:
+        pc_feat = _pool_forward(pc, cfg.pool)[0]
+    else:
+        pc_feat = pc.reshape(len(moves), -1)
+    head = np.concatenate([np.stack([mi.gc for mi in moves]), pc_feat], axis=1)
+    x = np.concatenate([np.repeat(head, sizes, axis=0),
+                        np.concatenate([mi.cand_sets.reshape(mi.cand_sets.shape[0], -1)
+                                        for mi in moves])], axis=1)
+    feats = _folded_stack(x, net.p_fc, dense_forward)
+    if net.p_seq:
+        grid = np.arange(sizes.max()) < sizes[:, None]
+        feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
+                              grid[..., None])[grid]
+    scores, _ = dense_forward(feats, *net.p_head)
+    # float64 normalization: equal logits give exactly uniform priors
+    logits = scores[:, 0].astype(np.float64)
+    return [softmax(lg) for lg in np.split(logits, np.cumsum(sizes)[:-1])]
 
 
 def policy_forward(net: InferenceNet, cfg, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    if cfg.pool_problem_context:
-        pc_feat = _pool_forward(mi.pc[None], cfg.pool)[0][0]
-    else:
-        pc_feat = mi.pc.reshape(-1)
-    k = mi.cand_sets.shape[0]
-    head = np.concatenate([mi.gc, pc_feat])
-    x = np.concatenate([np.broadcast_to(head, (k, head.size)),
-                        mi.cand_sets.reshape(k, -1)], axis=1)
-    feats = _folded_stack(x, net.p_fc, dense_forward)
-    if net.p_seq:
-        feats = _folded_stack(feats[None], net.p_seq, conv1d_forward)[0]
-    scores, _ = dense_forward(feats, *net.p_head)
-    # float64 normalization: equal logits give exactly uniform priors
-    return softmax(scores[:, 0].astype(np.float64))
+    return _policy_probs(net, cfg, [mi])[0]
 
 
-def policy_value_forward(net: InferenceNet, cfg, mi: MoveInput) -> tuple[np.ndarray, np.ndarray]:
-    """(p (K,), v3 (3,)) for one move; what p_forward and v_forward
-    compute with training=False."""
-    seq = _folded_stack(mi.pc[None], net.v_seq, conv1d_forward)
+def policy_value_forward(net: InferenceNet, cfg,
+                         moves: list[MoveInput]) -> tuple[list[np.ndarray], np.ndarray]:
+    """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
+    and v_forward compute with training=False."""
+    seq = _folded_stack(np.stack([mi.pc for mi in moves]), net.v_seq, conv1d_forward)
     pooled, _ = _pool_forward(seq, cfg.pool)
-    h = _folded_stack(np.concatenate([mi.gc[None], pooled], axis=1), net.v_fc, dense_forward)
-    logits, _ = dense_forward(h, *net.v_head)
-    return policy_forward(net, cfg, mi), softmax(logits[0].astype(np.float64))
+    h = np.concatenate([np.stack([mi.gc for mi in moves]), pooled], axis=1)
+    logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
+    return _policy_probs(net, cfg, moves), softmax(logits.astype(np.float64))
 
 
-def evaluate_frozen(net: InferenceNet, cfg, state: ColoringState,
-                    table: EmbeddingTable) -> NetOutput:
-    """Score one state with a frozen snapshot; pure given the arguments."""
-    mi = build_contexts(state, table, cfg)
-    p, v3 = policy_value_forward(net, cfg, mi)
-    return NetOutput(actions=mi.actions, p=p, v3=v3, v=float(v3[0] - v3[2]),
-                     capped=mi.capped)
+def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
+                    tables: list[EmbeddingTable]) -> list[NetOutput]:
+    """Score states, each with its graph's table, in one batched forward
+    of a frozen snapshot; pure given the arguments."""
+    moves = [build_contexts(state, table, cfg) for state, table in zip(states, tables)]
+    p_list, v3 = policy_value_forward(net, cfg, moves)
+    return [NetOutput(actions=mi.actions, p=p, v3=v, v=float(v[0] - v[2]), capped=mi.capped)
+            for mi, p, v in zip(moves, p_list, v3)]
 
 
 def evaluate(store: ParamStore, cfg, state: ColoringState, table: EmbeddingTable) -> NetOutput:
@@ -500,7 +523,7 @@ def evaluate(store: ParamStore, cfg, state: ColoringState, table: EmbeddingTable
     Freezes ``store`` on every call; to score many states under one
     parameter version, freeze once and use ``evaluate_frozen``.
     """
-    return evaluate_frozen(freeze(store, cfg), cfg, state, table)
+    return evaluate_frozen(freeze(store, cfg), cfg, [state], [table])[0]
 
 
 # -- loss and training -------------------------------------------------

@@ -6,6 +6,10 @@ color count, so backed-up values never flip sign. Child selection
 maximizes Q + c * P * sqrt(sum N) / (1 + N); ties fall to the higher
 prior, then the lower action index. The tree is reused across moves by
 promoting the chosen child to root.
+
+A simulation is two steps, ``descend`` to a leaf and ``expand`` it with
+its evaluation, so a caller can score the pending leaves of many trees
+in one batch (``evaluate_batch``) without changing any tree's search.
 """
 
 from __future__ import annotations
@@ -30,35 +34,70 @@ __all__ = [
     "UniformEvaluator",
     "RolloutEvaluator",
     "NetEvaluator",
+    "evaluate_batch",
 ]
 
 
-@dataclass
-class Node:
-    """Per-action statistics of one expanded state."""
+def _row(i: int, doc: str) -> property:
+    return property(lambda self: self.stats[i],
+                    lambda self, v: self.stats.__setitem__(i, v), doc=doc)
 
-    actions: list[int]
-    prior: np.ndarray  # P(s, a)
-    visits: np.ndarray  # N(s, a), int64
-    value: np.ndarray  # Q(s, a), running mean of backed-up values
-    children: list["Node | None"]
-    terminal_value: float | None = None  # set at window-end states
+
+class Node:
+    """Per-action statistics of one expanded state.
+
+    One (4, K) float array holds, per action, the prior, the visit count,
+    the running-mean value and the action id; ``prior``, ``visits`` and
+    ``value`` are writable views of its rows. Most nodes of a tree are
+    leaves, so the child list is allocated when the first child is
+    attached.
+    """
+
+    __slots__ = ("stats", "_children", "terminal_value")
+
+    prior = _row(0, "P(s, a)")
+    visits = _row(1, "N(s, a)")
+    value = _row(2, "Q(s, a), running mean of backed-up values")
+
+    def __init__(self, stats: np.ndarray, terminal_value: float | None = None):
+        self.stats = stats
+        self._children: list["Node | None"] | None = None
+        self.terminal_value = terminal_value  # set at window-end states
 
     @staticmethod
     def expanded(actions: list[int], prior: np.ndarray) -> "Node":
-        k = len(actions)
-        return Node(actions=list(actions), prior=np.asarray(prior, dtype=np.float64),
-                    visits=np.zeros(k, dtype=np.int64), value=np.zeros(k),
-                    children=[None] * k)
+        stats = np.zeros((4, len(actions)))
+        stats[0] = prior
+        stats[3] = actions
+        return Node(stats)
 
     @staticmethod
     def terminal(v: float) -> "Node":
-        return Node(actions=[], prior=np.zeros(0), visits=np.zeros(0, dtype=np.int64),
-                    value=np.zeros(0), children=[], terminal_value=v)
+        return Node(np.zeros((4, 0)), terminal_value=v)
+
+    @property
+    def actions(self) -> list[int]:
+        return self.stats[3].astype(np.int64).tolist()
+
+    @property
+    def children(self) -> list["Node | None"]:
+        """One entry per action, None where no child is attached; read
+        only (``attach`` adds a child)."""
+        if self._children is None:
+            return [None] * self.stats.shape[1]
+        return self._children
+
+    def child(self, i: int) -> "Node | None":
+        return None if self._children is None else self._children[i]
+
+    def attach(self, i: int, child: "Node") -> None:
+        if self._children is None:
+            self._children = [None] * self.stats.shape[1]
+        self._children[i] = child
 
     def subtree_size(self) -> int:
         total = 1
-        for child in self.children:
+        for child in self._children or ():
             if child is not None:
                 total += child.subtree_size()
         return total
@@ -74,22 +113,25 @@ def ucb_score(node: Node, index: int, c: float) -> float:
 def select_index(node: Node, c: float) -> int:
     """Argmax of the UCB score; ties go to the higher prior, then the
     lower action index."""
-    total = int(node.visits.sum())
-    scores = node.value + c * node.prior * math.sqrt(total) / (1.0 + node.visits)
-    best = None
-    for i in range(len(node.actions)):
-        if best is None or scores[i] > scores[best] or (
-                scores[i] == scores[best] and node.prior[i] > node.prior[best]):
-            best = i
+    # plain floats: at a handful of actions this beats array arithmetic
+    prior, visits, value, _ = node.stats.tolist()
+    root = math.sqrt(sum(visits))
+    best, best_score = 0, None
+    for i, p in enumerate(prior):
+        score = value[i] + c * p * root / (1.0 + visits[i])
+        if best_score is None or score > best_score or (
+                score == best_score and p > prior[best]):
+            best, best_score = i, score
     return best
 
 
 def backup(path: list[tuple[Node, int]], v: float) -> None:
     """Mean-value update along every edge of the path; no sign flip."""
     for node, i in path:
-        n = int(node.visits[i])
-        node.value[i] = (node.value[i] * n + v) / (n + 1)
-        node.visits[i] = n + 1
+        stats = node.stats
+        n = stats[1, i]
+        stats[2, i] = (stats[2, i] * n + v) / (n + 1)
+        stats[1, i] = n + 1
 
 
 def pi_from_counts(counts: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -162,8 +204,29 @@ class NetEvaluator:
         self.net = net if net is not None else freeze(store, cfg)
 
     def evaluate(self, state: ColoringState):
-        out = evaluate_frozen(self.net, self.cfg, state, self.table)
-        return out.actions, out.p, out.v
+        return evaluate_batch([self], [state])[0]
+
+
+def evaluate_batch(evaluators: list, states: list[ColoringState]) -> list[tuple]:
+    """Score each state with its evaluator, as ``evaluate`` does.
+
+    States whose ``NetEvaluator``s share one frozen snapshot are scored by
+    one batched forward; any other evaluator scores its state alone.
+    """
+    out: list = [None] * len(states)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, ev in enumerate(evaluators):
+        if isinstance(ev, NetEvaluator):
+            groups.setdefault((id(ev.net), id(ev.cfg)), []).append(j)
+        else:
+            out[j] = ev.evaluate(states[j])
+    for idx in groups.values():
+        ev = evaluators[idx[0]]
+        scored = evaluate_frozen(ev.net, ev.cfg, [states[j] for j in idx],
+                                 [evaluators[j].table for j in idx])
+        for j, o in zip(idx, scored):
+            out[j] = (o.actions, o.p, o.v)
+    return out
 
 
 # -- the tree ----------------------------------------------------------
@@ -190,6 +253,7 @@ class SearchTree:
     root: Node = field(init=False)
     simulations_run: int = field(init=False, default=0)
     arena_size: int = field(init=False, default=0)
+    _pending: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.t_end <= self.state.graph.n:
@@ -222,40 +286,58 @@ class SearchTree:
             noise = self.rng.dirichlet(np.full(len(node.actions), self.dirichlet_alpha))
             node.prior = (1.0 - self.dirichlet_frac) * node.prior + self.dirichlet_frac * noise
 
-    def simulate(self) -> float:
-        """One select / expand-evaluate / backup pass; returns the value."""
+    def descend(self) -> ColoringState | None:
+        """Select from the root to an unexpanded edge or a window-end state.
+
+        Returns the state behind the edge when it needs an evaluation,
+        None at a window-end state, whose value is exact; ``expand``
+        completes the pass either way.
+        """
         node = self.root
         state = self.state.clone()
         path: list[tuple[Node, int]] = []
-        while True:
-            if node.terminal_value is not None:
-                v = node.terminal_value
-                break
+        while node.terminal_value is None:
             i = select_index(node, self.c)
             path.append((node, i))
-            state.apply_inplace(node.actions[i])
-            child = node.children[i]
+            state.apply_inplace(int(node.stats[3, i]))
+            child = node.child(i)
             if child is None:
-                if self._window_end(state):
-                    child = Node.terminal(self._exact_value(state))
-                    v = child.terminal_value
-                else:
-                    actions, priors, v = self.evaluator.evaluate(state)
-                    child = Node.expanded(actions, priors)
-                node.children[i] = child
+                if not self._window_end(state):
+                    self._pending = (path, None)
+                    return state
+                child = Node.terminal(self._exact_value(state))
+                node.attach(i, child)
                 self.arena_size += 1
-                break
             node = child
+        self._pending = (path, node.terminal_value)
+        return None
+
+    def expand(self, evaluation: tuple | None = None) -> float:
+        """Finish the pass ``descend`` began: attach the leaf from
+        ``evaluation`` (actions, priors, value) when it returned a state,
+        then back the value up the path; returns the value."""
+        path, v = self._pending
+        self._pending = None
+        if evaluation is not None:
+            actions, priors, v = evaluation
+            node, i = path[-1]
+            node.attach(i, Node.expanded(actions, priors))
+            self.arena_size += 1
         backup(path, v)
         self.simulations_run += 1
         return v
 
+    def simulate(self) -> float:
+        """One select / expand-evaluate / backup pass; returns the value."""
+        leaf = self.descend()
+        return self.expand(None if leaf is None else self.evaluator.evaluate(leaf))
+
     def advance_root(self, action: int) -> None:
         """Promote the chosen child to root, discarding its siblings."""
-        if action not in self.root.actions:
+        actions = self.root.actions
+        if action not in actions:
             raise ParameterError(f"action {action} is not a root child")
-        i = self.root.actions.index(action)
-        child = self.root.children[i]
+        child = self.root.child(actions.index(action))
         self.state.apply_inplace(action)
         if child is None:
             child = self._make_node(self.state)

@@ -1,8 +1,8 @@
 """Minimal differentiable-layer toolkit on numpy.
 
-A fixed menu of layers (dense, LSTM cell, 1-d convolution, batch norm,
-softmax with cross entropy) with hand-derived backward passes, plus Adam
-and a central-finite-difference gradient checker. There is no general
+A fixed menu of layers (dense, LSTM cell, 1-d convolution, batch norm)
+with hand-derived backward passes, a softmax, Adam and a
+central-finite-difference gradient checker. There is no general
 autodiff here on purpose: the networks in this package compose a small,
 known set of blocks, and every backward pass is held to a 1e-4 relative
 error bound against finite differences in the test suite.
@@ -37,7 +37,6 @@ __all__ = [
     "batchnorm_forward",
     "batchnorm_backward",
     "softmax",
-    "softmax_cross_entropy",
     "finite_diff_check",
     "init_dense",
     "init_lstm",
@@ -320,19 +319,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: np.ndarray, eps: float = 1e-12):
-    """Mean cross entropy between softmax(logits) and target rows.
-
-    Returns (loss, probs, dlogits) where dlogits is the gradient of the
-    mean loss with respect to the logits: (probs - target) / rows.
-    """
-    probs = softmax(logits, axis=-1)
-    rows = int(np.prod(probs.shape[:-1])) or 1
-    loss = float(-(target * np.log(np.maximum(probs, eps))).sum() / rows)
-    dlogits = (probs - target) / rows
-    return loss, probs, dlogits
 
 
 # ------------------------------------------------------------- optimizer

@@ -130,14 +130,17 @@ class GateResult:
     incumbent_avg: float
 
 
-def gate_model(candidate_policy, incumbent_policy, graphs: Sequence[Graph],
+def gate_model(candidate_policy, incumbent_avg: float, graphs: Sequence[Graph],
                cfg: Config) -> GateResult:
-    """Greedy decoding on the shared eval set; ties promote the candidate."""
+    """Greedy-decode the candidate on the shared eval set and compare its
+    average with the incumbent's (decoding is deterministic, so the
+    incumbent's average is computed once, when it is promoted); ties
+    promote the candidate."""
     if not graphs:
         raise ParameterError("gate needs a non-empty eval set")
     cand = float(np.mean([policy_colors(g, candidate_policy, cfg) for g in graphs]))
-    inc = float(np.mean([policy_colors(g, incumbent_policy, cfg) for g in graphs]))
-    return GateResult(accepted=cand <= inc, candidate_avg=cand, incumbent_avg=inc)
+    return GateResult(accepted=cand <= incumbent_avg, candidate_avg=cand,
+                      incumbent_avg=incumbent_avg)
 
 
 # -- evaluation harness -------------------------------------------------
@@ -261,13 +264,12 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
 
     candidate = Model(init_fastcolornet(cfg), version=0)
     adam = AdamState.for_store(candidate.store, lr=cfg.lr)
-    incumbent_policy = GreedyPolicy()
     baseline = bootstrap_oracle()
     best: Model | None = None
     best_store = candidate.store.copy()
     best_version = 0
     incumbent_avg = float(np.mean(
-        [policy_colors(g, incumbent_policy, cfg) for g in eval_graphs]))
+        [policy_colors(g, GreedyPolicy(), cfg) for g in eval_graphs]))
 
     metrics = [IterationMetrics(0, 0.0, incumbent_avg, 0.0, 0.0)]
     gate_history: list[tuple[int, bool, float, float]] = []
@@ -316,15 +318,15 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
 
         candidate.version += 1
         candidate.cache.drop_below(candidate.version)
-        gate = gate_model(candidate.policy(cfg), incumbent_policy, eval_graphs, cfg)
+        gate = gate_model(candidate.policy(cfg), incumbent_avg, eval_graphs, cfg)
         gate_history.append((it, gate.accepted, gate.candidate_avg, gate.incumbent_avg))
         if gate.accepted:
             best_store = candidate.store.copy()
             best_version = candidate.version
             best = Model(best_store, version=best_version)
             baseline = BaselineOracle(best.policy(cfg))
-            incumbent_policy = best.policy(cfg)
             incumbent_avg = gate.candidate_avg
+            buffer.embeddings.drop_below(best_version)
             save_checkpoint(ckpt_path, Checkpoint(
                 params=best_store, adam=adam, config_hash=cfg.hash(),
                 iteration=it, gate_history=_history_array(gate_history)))

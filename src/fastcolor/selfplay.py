@@ -10,9 +10,10 @@ are abandoned early using sound monotonicity bounds.
 from __future__ import annotations
 
 import json
+import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 import numpy as np
 
@@ -22,8 +23,13 @@ from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
 from .fastcolornet import build_contexts, freeze, policy_forward
 from .graph import Graph
-from .mcts import SearchTree, search
+from .mcts import SearchTree, evaluate_batch
 from .rng import make_rng, mix64
+
+logger = logging.getLogger(__name__)
+
+# Segments a self-play pass plays in lockstep; bounds the live search trees.
+LOCKSTEP_SEGMENTS = 64
 
 # -- fast policies ------------------------------------------------------
 
@@ -229,10 +235,21 @@ def play_segment(
     episode index) are sampled from the visit distribution, later ones
     take its argmax.
     """
-    if not 0 <= start_t < g.n:
-        raise ParameterError(f"start_t {start_t} outside [0, {g.n})")
     if early_abort is None:
         early_abort = cfg.early_abort
+    segment = _segment(g, start_t, cfg, evaluator, baseline, seed, early_abort)
+    return _lockstep([(segment, evaluator)])[0]
+
+
+def _segment(g: Graph, start_t: int, cfg: Config, evaluator, baseline: BaselineOracle,
+             seed: int, early_abort: bool):
+    """``play_segment`` as a generator: yields each leaf state the search
+    needs scored, takes its evaluation (actions, priors, value) back, and
+    returns (records, result)."""
+    if not 0 <= start_t < g.n:
+        raise ParameterError(f"start_t {start_t} outside [0, {g.n})")
+    if cfg.simulations < 1:
+        raise ParameterError("simulations must be >= 1")
     rng = make_rng(seed)
     btrace = baseline.trace(g, cfg)
     t_end = min(start_t + cfg.run_ahead, g.n)
@@ -264,7 +281,10 @@ def play_segment(
             if verdict is not None:
                 aborted_at = state.t
                 break
-        pi = search(tree, cfg.simulations, tau=1.0)
+        for _ in range(cfg.simulations):
+            leaf = tree.descend()
+            tree.expand(None if leaf is None else (yield leaf))
+        pi = tree.root_pi(1.0)
         if state.t < cfg.sample_first_k:
             choice = int(rng.choice(pi.size, p=pi))
         else:
@@ -273,6 +293,7 @@ def play_segment(
         taken.append((state.t, pi))
         actions.append(action)
         tree.advance_root(action)
+    del tree  # free the search tree while the fast policy completes the window
 
     if verdict is None:
         while state.t < t_end:
@@ -299,6 +320,35 @@ def play_segment(
         aborted_at=aborted_at,
     )
     return records, result
+
+
+def _lockstep(segments: list[tuple[Generator, object]]) -> list:
+    """Run segment generators, each paired with its evaluator, together.
+
+    Every round collects the pending leaf of each live segment and scores
+    them all at once (``evaluate_batch``), so leaves that share a frozen
+    snapshot go through one batched forward. A segment's own moves and
+    random draws do not depend on the others. Returns what the segments
+    return, in their order.
+    """
+    results: list = [None] * len(segments)
+    pending: dict[int, ColoringState] = {}
+
+    def resume(j: int, evaluation) -> None:
+        try:
+            pending[j] = segments[j][0].send(evaluation)
+        except StopIteration as done:
+            pending.pop(j, None)
+            results[j] = done.value
+
+    for j in range(len(segments)):
+        resume(j, None)
+    while pending:
+        live = list(pending)
+        scored = evaluate_batch([segments[j][1] for j in live], [pending[j] for j in live])
+        for j, evaluation in zip(live, scored):
+            resume(j, evaluation)
+    return results
 
 
 def sample_positions(graphs: Sequence[Graph], cfg: Config, seed: int) -> list[tuple[int, int]]:
@@ -401,24 +451,39 @@ def run_selfplay(
 ) -> list[SegmentResult]:
     """One pass: sample window starts, play them, fill the buffer.
 
-    Per-segment seeds are derived from (seed, position index) so a pass
-    replays identically regardless of chunking.
+    Up to ``LOCKSTEP_SEGMENTS`` segments are played in lockstep, their
+    leaves scored together. Per-segment seeds are derived from (seed,
+    position index), so the pass plays exactly what ``play_segment`` would
+    play position by position; records, results and log lines come out
+    in position order.
     """
     positions = sample_positions(graphs, cfg, seed)
     results: list[SegmentResult] = []
+    tables: dict[int, tuple[EmbeddingTable, int]] = {}
     fh = open(log_path, "a", encoding="utf-8") if log_path else None
     try:
-        for j, (gi, start_t) in enumerate(positions):
-            g = graphs[gi]
-            seg_seed = int(mix64(seed, j))
-            records, info = play_segment(
-                g, start_t, cfg, make_evaluator(g), baseline, seed=seg_seed
-            )
-            buffer.append(records)
-            results.append(info)
-            if fh is not None:
-                fh.write(info.to_json() + "\n")
+        for lo in range(0, len(positions), LOCKSTEP_SEGMENTS):
+            segments = []
+            for j in range(lo, min(lo + LOCKSTEP_SEGMENTS, len(positions))):
+                gi, start_t = positions[j]
+                g = graphs[gi]
+                evaluator = make_evaluator(g)
+                table = getattr(evaluator, "table", None)
+                if table is not None:
+                    tables.setdefault(id(table), (table, table.capped_moves))
+                segment = _segment(g, start_t, cfg, evaluator, baseline,
+                                   int(mix64(seed, j)), cfg.early_abort)
+                segments.append((segment, evaluator))
+            for records, info in _lockstep(segments):
+                buffer.append(records)
+                results.append(info)
+                if fh is not None:
+                    fh.write(info.to_json() + "\n")
     finally:
         if fh is not None:
             fh.close()
+    capped = sum(table.capped_moves - before for table, before in tables.values())
+    if capped:
+        logger.warning("candidate cap %d hit on %d moves during this pass",
+                       cfg.candidate_cap, capped)
     return results

@@ -34,7 +34,7 @@ from fastcolor.fastcolornet import (
 import fastcolor
 from fastcolor import nn
 from fastcolor.graph import Graph, gen_er
-from fastcolor.mcts import NetEvaluator
+from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
 from fastcolor.nn import AdamState, ParamStore, finite_diff_check
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
@@ -138,6 +138,16 @@ class TestContexts:
         assert mi.capped
         assert mi.actions == [0, 1, 4]
         assert any("candidate cap" in rec.message for rec in caplog.records)
+
+    def test_candidate_cap_counted_after_first_log(self, caplog):
+        cfg = tiny_cfg(candidate_cap=3)
+        g = Graph.from_edges(6, [])
+        store, table, state = setup_state(g, cfg, moves=(0, 1, 2, 3))
+        with caplog.at_level(logging.WARNING):
+            for _ in range(3):
+                build_contexts(state, table, cfg)
+        assert table.capped_moves == 3
+        assert sum("candidate cap" in rec.message for rec in caplog.records) == 1
 
     def test_table_size_mismatch_rejected(self):
         cfg = tiny_cfg()
@@ -505,6 +515,19 @@ def randomize_inference_params(store: ParamStore, rng) -> None:
             store[name] = rng.uniform(0.1, 4.0, size=store[name].shape)
 
 
+def random_move(cfg, k: int, rng) -> MoveInput:
+    """A move with k candidates and random contexts in the config dtype."""
+    w, m, dim = cfg.window, cfg.color_set_size, cfg.embed_dim
+
+    def draw(*shape):
+        return rng.normal(size=shape).astype(cfg.dtype)
+
+    return MoveInput(table=None, graph=None, gc=draw(4 * cfg.feature_bins),
+                     pc=draw(2 * w, dim), pc_vertices=np.full(2 * w, -1),
+                     cand_sets=draw(k, m, dim), cand_vertices=np.full((k, m), -1),
+                     actions=list(range(k)))
+
+
 class TestFrozenInference:
     @given(n=st.integers(2, 12), p=st.floats(0.1, 0.9), seed=st.integers(0, 999),
            pool=st.sampled_from(["mean", "max"]), seq2seq=st.booleans(),
@@ -531,7 +554,7 @@ class TestFrozenInference:
             p_ref, _, _ = p_forward(store, cfg, [mi], training=False,
                                     pc_override=pc, cand_override=cands)
             p_ref = p_ref[0]
-            got_p, got_v3 = policy_value_forward(net, cfg, mi)
+            (got_p,), (got_v3,) = policy_value_forward(net, cfg, [mi])
             assert np.abs(got_p - p_ref).max() <= tol
             assert np.abs(got_v3 - v3[0]).max() <= tol
             assert np.array_equal(policy_forward(net, cfg, mi), got_p)
@@ -540,12 +563,62 @@ class TestFrozenInference:
                 assert np.argmax(got_p) == np.argmax(p_ref)
             state.apply_inplace(mi.actions[rng.integers(len(mi.actions))])
 
+    @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+           seed=st.integers(0, 999), pool=st.sampled_from(["mean", "max"]),
+           seq2seq=st.booleans(), pool_context=st.booleans(),
+           dtype=st.sampled_from(["float64", "float32"]))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_scores_each_move_as_alone(self, sizes, seed, pool, seq2seq,
+                                             pool_context, dtype):
+        cfg = tiny_cfg(pool=pool, candidate_seq2seq=seq2seq,
+                       pool_problem_context=pool_context, dtype=dtype)
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        store = init_fastcolornet(cfg, seed=seed)
+        rng = make_rng(seed)
+        randomize_inference_params(store, rng)
+        moves = [random_move(cfg, k, rng) for k in sizes]
+        net = freeze(store, cfg)
+        p_list, v3 = policy_value_forward(net, cfg, moves)
+        assert len(p_list) == len(moves) and v3.shape == (len(moves), 3)
+        # reference: the eval-mode training forward over the same batch
+        p_ref, _, _ = p_forward(store, cfg, moves, training=False)
+        v3_ref, _, _ = v_forward(store, cfg, moves, training=False)
+        for b, mi in enumerate(moves):
+            (alone_p,), (alone_v3,) = policy_value_forward(net, cfg, [mi])
+            assert p_list[b].shape == (sizes[b],)
+            assert np.abs(p_list[b] - alone_p).max() <= tol
+            assert np.abs(v3[b] - alone_v3).max() <= tol
+            assert np.abs(p_list[b] - p_ref[b]).max() <= tol
+            assert np.abs(v3[b] - v3_ref[b]).max() <= tol
+            assert np.array_equal(policy_forward(net, cfg, mi), alone_p)
+
+    def test_evaluate_batch_scores_each_state_with_its_evaluator(self):
+        cfg = tiny_cfg()
+        graphs = [cycle_graph(7), path_graph(5), gen_er(9, 0.4, seed=1)]
+        evaluators, states = [UniformEvaluator()], [ColoringState(graphs[0])]
+        for seed in range(2):  # two snapshots, so two batched groups
+            store = init_fastcolornet(cfg, seed=seed)
+            randomize_inference_params(store, make_rng(seed))
+            net = freeze(store, cfg)
+            for g in graphs:
+                state = ColoringState(g)
+                state.apply_inplace(0)
+                table = compute_embeddings(g, store, cfg, seed=0)
+                evaluators.append(NetEvaluator(store, cfg, table, net))
+                states.append(state)
+        got = evaluate_batch(evaluators, states)
+        for ev, state, (actions, p, v) in zip(evaluators, states, got):
+            want_actions, want_p, want_v = ev.evaluate(state)
+            assert actions == want_actions
+            assert np.abs(p - want_p).max() <= 1e-12 and abs(v - want_v) <= 1e-12
+
     def test_evaluate_matches_snapshot_path(self):
         cfg = tiny_cfg()
         store, table, state = setup_state(cycle_graph(7), cfg, moves=(0, 1))
         randomize_inference_params(store, make_rng(3))
         out = evaluate(store, cfg, state, table)
-        p, v3 = policy_value_forward(freeze(store, cfg), cfg, build_contexts(state, table, cfg))
+        (p,), (v3,) = policy_value_forward(freeze(store, cfg), cfg,
+                                           [build_contexts(state, table, cfg)])
         assert np.array_equal(out.p, p) and np.array_equal(out.v3, v3)
         assert out.v == float(v3[0] - v3[2])
 
@@ -557,12 +630,13 @@ class TestFrozenInference:
         randomize_inference_params(store, make_rng(4))
         mi = batch[0].move
         net = freeze(store, cfg)
-        before = policy_value_forward(net, cfg, mi)
+        (p_before,), v3_before = policy_value_forward(net, cfg, [mi])
         adam = AdamState.for_store(store, lr=0.05)
         fcn_train_step(batch, store, cfg, adam, make_rng(0))
-        after = policy_value_forward(net, cfg, mi)
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert not np.array_equal(policy_value_forward(freeze(store, cfg), cfg, mi)[1], before[1])
+        (p_after,), v3_after = policy_value_forward(net, cfg, [mi])
+        assert np.array_equal(p_before, p_after) and np.array_equal(v3_before, v3_after)
+        assert not np.array_equal(policy_value_forward(freeze(store, cfg), cfg, [mi])[1],
+                                  v3_before)
 
     def test_model_freezes_once_per_version(self):
         cfg = tiny_cfg()

@@ -26,7 +26,6 @@ from fastcolor.nn import (
     relu_backward,
     relu_forward,
     softmax,
-    softmax_cross_entropy,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -103,17 +102,6 @@ class TestForwardExamples:
         y, _ = batchnorm_forward(x, np.full(2, 2.0), np.full(2, 1.0), rm, rv, training=False)
         npt.assert_allclose(y, 2.0 * 1.0 / np.sqrt(1 + 1e-5) + 1.0)
         npt.assert_allclose(rm, 0.0)  # eval never mutates buffers
-
-    def test_cross_entropy_perfect_prediction(self):
-        logits = np.array([[100.0, 0.0, 0.0]])
-        target = np.array([[1.0, 0.0, 0.0]])
-        loss, probs, _ = softmax_cross_entropy(logits, target)
-        assert loss < 1e-12
-        npt.assert_allclose(probs[0, 0], 1.0)
-
-    def test_cross_entropy_uniform(self):
-        loss, _, _ = softmax_cross_entropy(np.zeros((1, 4)), np.array([[0, 0, 1, 0.0]]))
-        assert loss == pytest.approx(np.log(4.0))
 
 
 class TestBackwardVsFiniteDifferences:
@@ -264,21 +252,6 @@ class TestBackwardVsFiniteDifferences:
             return float((y * proj).sum())
 
         self._check(store_x, loss_x, {"x": dx}, samples=12)
-
-    def test_softmax_cross_entropy_gradient(self):
-        rng = np.random.default_rng(6)
-        logits = rng.normal(size=(3, 4))
-        target = softmax(rng.normal(size=(3, 4)))
-        store = f64_store()
-        store.add("logits", logits)
-
-        def loss():
-            l, _, _ = softmax_cross_entropy(store["logits"], target)
-            return l
-
-        _, probs, dlogits = softmax_cross_entropy(logits, target)
-        npt.assert_allclose(dlogits, (probs - target) / 3.0)
-        self._check(store, loss, {"logits": dlogits}, samples=12)
 
 
 class TestAdam:

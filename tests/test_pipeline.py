@@ -24,7 +24,8 @@ from fastcolor.pipeline import (
     policy_colors,
     policy_iteration,
 )
-from fastcolor.selfplay import GreedyPolicy
+from fastcolor import pipeline
+from fastcolor.selfplay import GreedyPolicy, ReplayBuffer
 
 from conftest import complete_graph
 
@@ -104,13 +105,17 @@ class TestPolicyColors:
         assert policy_colors(g, GreedyPolicy(), cfg) == greedy_color(g, "dynamic").colors_used
 
 
+def decoded_avg(policy, graphs, cfg) -> float:
+    return float(np.mean([policy_colors(g, policy, cfg) for g in graphs]))
+
+
 class TestGate:
     def test_lower_average_accepted(self):
         graphs = [edgeless(40, t) for t in range(10)]
         cfg = tiny_cfg()
         cand = TargetPolicy({g.key(): 29 if i < 5 else 30 for i, g in enumerate(graphs)})
         inc = TargetPolicy({g.key(): 30 if i < 9 else 31 for i, g in enumerate(graphs)})
-        gate = gate_model(cand, inc, graphs, cfg)
+        gate = gate_model(cand, decoded_avg(inc, graphs, cfg), graphs, cfg)
         assert gate == GateResult(accepted=True, candidate_avg=29.5, incumbent_avg=30.1)
 
     def test_tie_accepted(self):
@@ -118,20 +123,20 @@ class TestGate:
         cfg = tiny_cfg()
         cand = TargetPolicy({g.key(): 30 for g in graphs})
         inc = TargetPolicy({g.key(): 30 for g in graphs})
-        assert gate_model(cand, inc, graphs, cfg).accepted
+        assert gate_model(cand, decoded_avg(inc, graphs, cfg), graphs, cfg).accepted
 
     def test_average_decides_not_best_graph(self):
         graphs = [edgeless(40, t) for t in range(2)]
         cfg = tiny_cfg()
         cand = TargetPolicy({graphs[0].key(): 28, graphs[1].key(): 33})
         inc = TargetPolicy({g.key(): 30 for g in graphs})
-        gate = gate_model(cand, inc, graphs, cfg)
+        gate = gate_model(cand, decoded_avg(inc, graphs, cfg), graphs, cfg)
         assert not gate.accepted
         assert gate.candidate_avg == 30.5
 
     def test_empty_set_rejected(self):
         with pytest.raises(ParameterError):
-            gate_model(GreedyPolicy(), GreedyPolicy(), [], tiny_cfg())
+            gate_model(GreedyPolicy(), 0.0, [], tiny_cfg())
 
 
 class TestEvaluate:
@@ -229,6 +234,31 @@ class TestPolicyIteration:
         result = policy_iteration(cfg, out_dir=str(tmp_path))
         avgs = [m.eval_avg_colors for m in result.metrics]
         assert all(b <= a for a, b in zip(avgs, avgs[1:]))
+
+    def test_promotion_frees_superseded_embedding_tables(self, tmp_path, monkeypatch):
+        buffers = []
+
+        class SpyBuffer(ReplayBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                buffers.append(self)
+
+        seen = []
+        train_step = pipeline.fcn_train_step
+
+        def spy_step(batch, store, cfg, adam, rng):
+            seen.append({version for _, version in buffers[0].embeddings._tables})
+            return train_step(batch, store, cfg, adam, rng)
+
+        monkeypatch.setattr(pipeline, "ReplayBuffer", SpyBuffer)
+        monkeypatch.setattr(pipeline, "fcn_train_step", spy_step)
+        cfg = tiny_cfg(train_iterations=3)
+        result = policy_iteration(cfg, out_dir=str(tmp_path))
+        # iterations 1 and 2 promote, so iteration 3 trains on version-2 tables only
+        assert [accepted for _, accepted, _, _ in result.gate_history[:2]] == [True, True]
+        steps = cfg.steps_per_iteration
+        assert len(seen) == 3 * steps
+        assert seen[2 * steps:] == [{2}] * steps
 
     def test_deterministic_metrics(self, tmp_path):
         cfg = tiny_cfg()

@@ -1,6 +1,7 @@
 """Episode generation, window scoring, and the replay buffer."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from fastcolor.coloring import Outcome
 from fastcolor.errors import ParameterError, StateError
 from fastcolor.fastcolornet import init_fastcolornet
 from fastcolor.graph import Graph, gen_er
-from fastcolor.mcts import UniformEvaluator
-from fastcolor.rng import make_rng
+from fastcolor import mcts, selfplay
+from fastcolor.mcts import RolloutEvaluator, UniformEvaluator
+from fastcolor.pipeline import Model
+from fastcolor.rng import make_rng, mix64
 from fastcolor.selfplay import (
     BaselineOracle,
     EmbeddingCache,
@@ -425,6 +428,19 @@ class TestRunSelfplay:
         }
         assert row["z"] in {"win", "tie", "lose"}
 
+    def test_candidate_cap_logged_per_graph_and_pass(self, caplog):
+        gs = [Graph.from_edges(8, []), Graph.from_edges(9, [])]
+        cfg = net_cfg(candidate_cap=1, move_sample_rate=0.5, mcts_segment=2, simulations=4)
+        model = Model(init_fastcolornet(cfg))
+        with caplog.at_level(logging.WARNING):
+            run_selfplay(gs, cfg, lambda g: model.evaluator(g, cfg), bootstrap_oracle(),
+                         ReplayBuffer(capacity=64), seed=0)
+        total = sum(model.cache.table(g, model.store, cfg, 0).capped_moves for g in gs)
+        messages = [r.getMessage() for r in caplog.records if "candidate cap" in r.getMessage()]
+        assert total > len(gs)
+        assert len(messages) == len(gs) + 1
+        assert f"hit on {total} moves during this pass" in messages[-1]
+
     def test_pass_is_deterministic(self):
         gs = [gen_er(10, 0.4, seed=0), gen_er(10, 0.4, seed=1)]
         cfg = small_cfg(move_sample_rate=0.3, mcts_segment=2, simulations=4)
@@ -433,3 +449,63 @@ class TestRunSelfplay:
         b = run_selfplay(gs, cfg, lambda g: UniformEvaluator(), bootstrap_oracle(),
                          ReplayBuffer(capacity=64), seed=5)
         assert a == b
+
+
+class TestLockstep:
+    """A pass plays its segments together, scoring their pending leaves in
+    one batch; every segment must play exactly what it plays alone."""
+
+    @pytest.mark.parametrize("lanes", [64, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "rollout", "net"])
+    def test_pass_equals_sequential_segments(self, kind, lanes, tmp_path, monkeypatch):
+        gs = [gen_er(10, 0.4, seed=0), gen_er(12, 0.5, seed=1), gen_er(9, 0.3, seed=2)]
+        cfg = net_cfg(move_sample_rate=0.3, run_ahead=5, mcts_segment=3, simulations=6,
+                      sample_first_k=5, root_noise=True)
+        baseline = bootstrap_oracle()
+        if kind == "uniform":
+            def make_evaluator(g):
+                return UniformEvaluator()
+        elif kind == "rollout":
+            def make_evaluator(g):
+                return RolloutEvaluator(g.n, baseline.trace(g, cfg).cumulative)
+        else:
+            model = Model(init_fastcolornet(cfg))
+
+            def make_evaluator(g):
+                return model.evaluator(g, cfg)
+
+        batches: list[int] = []
+        frozen = mcts.evaluate_frozen
+
+        def spy(net, cfg_, states, tables):
+            batches.append(len(states))
+            return frozen(net, cfg_, states, tables)
+
+        monkeypatch.setattr(mcts, "evaluate_frozen", spy)
+        monkeypatch.setattr(selfplay, "LOCKSTEP_SEGMENTS", lanes)
+        log = tmp_path / "lockstep.jsonl"
+        buf = ReplayBuffer(capacity=4096)
+        results = run_selfplay(gs, cfg, make_evaluator, baseline, buf, seed=3,
+                               log_path=str(log))
+        lockstep_batches = list(batches)
+        batches.clear()
+
+        ref_buf = ReplayBuffer(capacity=4096)
+        ref_results, ref_lines = [], []
+        for j, (gi, start_t) in enumerate(sample_positions(gs, cfg, 3)):
+            records, info = play_segment(gs[gi], start_t, cfg, make_evaluator(gs[gi]),
+                                         baseline, seed=int(mix64(3, j)))
+            ref_buf.append(records)
+            ref_results.append(info)
+            ref_lines.append(info.to_json() + "\n")
+
+        assert len(results) > 3  # more segments than the smaller lane count
+        assert results == ref_results
+        assert log.read_bytes() == "".join(ref_lines).encode()
+        got, want = list(buf._records), list(ref_buf._records)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a.graph.key() == b.graph.key() and a.t == b.t and a.z == b.z
+            assert np.array_equal(a.pi, b.pi) and np.array_equal(a.trace, b.trace)
+        if kind == "net":
+            assert max(lockstep_batches) > 1 and set(batches) == {1}
