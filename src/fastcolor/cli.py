@@ -14,13 +14,12 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
-from .coloring import estimate_mdp_size, greedy_color
+from .coloring import HEURISTIC_KINDS, estimate_mdp_size, greedy_color
 from .config import Config
 from .errors import FastcolorError
 from .fastcolornet import init_fastcolornet
 from .graph import load_graph, save_edge_list
 from .pipeline import (
-    HEURISTICS,
     Model,
     evaluate,
     load_sources,
@@ -168,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="color one graph and print the count")
     p.add_argument("--graph", required=True)
-    p.add_argument("--heuristic", choices=HEURISTICS, default="unordered")
+    p.add_argument("--heuristic", choices=HEURISTIC_KINDS, default="unordered")
     p.add_argument("--model", default=None, help="checkpoint path")
     p.add_argument("--config", default=None, help="config file (with --model)")
     p.add_argument("--mode", choices=("greedy", "mcts"), default="greedy")
@@ -177,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-mdp", help="log10 size of the decision space")
     p.add_argument("--graph", required=True)
-    p.add_argument("--order", choices=HEURISTICS, default="unordered")
+    p.add_argument("--order", choices=HEURISTIC_KINDS, default="unordered")
     p.set_defaults(func=cmd_estimate_mdp)
 
     p = sub.add_parser("selfplay", help="one self-play pass into a buffer")

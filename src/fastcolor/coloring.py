@@ -33,7 +33,6 @@ __all__ = [
     "Coloring",
     "estimate_mdp_size",
     "brute_force_chromatic",
-    "is_proper",
     "check_proper",
     "save_coloring",
     "load_coloring",
@@ -86,9 +85,6 @@ class ActionSet:
 
     def actions(self) -> list[int]:
         return list(self.existing) + [self.new_color]
-
-    def __contains__(self, a: int) -> bool:
-        return a == self.new_color or a in self.existing
 
 
 class ColoringState:
@@ -310,14 +306,6 @@ def _monochromatic(g: Graph, assignment: np.ndarray) -> np.ndarray:
     ascending, so in (v, neighbor) row order."""
     sources = np.repeat(np.arange(g.n), np.diff(g.offsets))
     return np.flatnonzero(assignment[sources] == assignment[g.neighbors])
-
-
-def is_proper(g: Graph, assignment: np.ndarray) -> bool:
-    """True iff every vertex is colored and no edge is monochromatic."""
-    assignment = np.asarray(assignment)
-    if assignment.shape != (g.n,) or (g.n and assignment.min() < 0):
-        return False
-    return _monochromatic(g, assignment).size == 0
 
 
 def check_proper(g: Graph, assignment: np.ndarray) -> None:

@@ -2,23 +2,35 @@
 
 One dataclass carries every knob in the system: dataset recipes, network
 architecture, search, self-play, and trainer settings. The on-disk form
-is versioned ``key = value`` text that round-trips losslessly; its hash
-is stamped into checkpoints so a model remembers the exact configuration
-that produced it.
+is versioned ``key = value`` text that round-trips losslessly. The hash
+of the fields that fix what the parameters mean is stamped into
+checkpoints, so a model loads under any configuration that reads its
+parameters the same way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .coloring import HEURISTIC_KINDS
 from .errors import ParameterError
 from .rng import GENERATOR_NAME
 
 CONFIG_VERSION = 1
 
-__all__ = ["Config", "CONFIG_VERSION", "expand_sources"]
+__all__ = ["Config", "CONFIG_VERSION", "HASHED_FIELDS", "expand_sources"]
+
+# What init_fastcolornet, compute_embeddings (with the embed_seed it is
+# handed) and build_contexts read, the forward passes' pool, and the
+# generator: the fields that fix what a checkpoint's parameters mean.
+HASHED_FIELDS = (
+    "generator", "dtype", "init_seed", "feature_bins", "embed_dim", "embed_hidden",
+    "embed_iterations", "lstm_steps", "embed_seed", "window", "color_set_size",
+    "v_width", "v_layers", "p_width", "p_layers", "seq_channels", "seq_layers",
+    "seq_filter", "candidate_cap", "pool", "pool_problem_context", "candidate_seq2seq",
+)
 
 
 @dataclass
@@ -100,7 +112,7 @@ class Config:
             raise ParameterError(f"dtype must be float32 or float64")
         if self.seq_filter % 2 == 0:
             raise ParameterError("seq_filter must be odd")
-        if self.order_kind not in ("unordered", "ordered", "dynamic"):
+        if self.order_kind not in HEURISTIC_KINDS:
             raise ParameterError(f"unknown order kind {self.order_kind!r}")
 
     # -- file form ----------------------------------------------------
@@ -153,7 +165,8 @@ class Config:
             return Config.from_text(fh.read())
 
     def hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        text = "".join(f"{name} = {getattr(self, name)}\n" for name in HASHED_FIELDS)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def replace(self, **kwargs) -> "Config":
         return dataclasses.replace(self, **kwargs)

@@ -136,9 +136,6 @@ class EmbeddingTable:
     def final(self) -> np.ndarray:
         return self.tables[-1]
 
-    def row(self, v: int) -> np.ndarray:
-        return self.tables[-1][v]
-
 
 def init_transfer_params(store: ParamStore, cfg, rng: np.random.Generator) -> None:
     """Transfer-function parameters under the 'emb.' prefix.

@@ -372,10 +372,6 @@ class GraphSource:
             return gen_ws(int(n), int(k), float(beta), self.seed)
         raise ParameterError("file sources are loaded via load_graph")
 
-    def spec_string(self) -> str:
-        inner = ",".join(repr(x) if isinstance(x, str) else f"{x:g}" for x in self.params)
-        return f"{self.kind}:{inner}:seed={self.seed}"
-
     @staticmethod
     def parse(text: str) -> "GraphSource":
         """Parse 'er:n,p:seed=S' / 'ws:n,k,beta:seed=S'."""

@@ -79,14 +79,6 @@ class Node:
     def actions(self) -> list[int]:
         return self.stats[3].astype(np.int64).tolist()
 
-    @property
-    def children(self) -> list["Node | None"]:
-        """One entry per action, None where no child is attached; read
-        only (``attach`` adds a child)."""
-        if self._children is None:
-            return [None] * self.stats.shape[1]
-        return self._children
-
     def child(self, i: int) -> "Node | None":
         return None if self._children is None else self._children[i]
 
@@ -94,13 +86,6 @@ class Node:
         if self._children is None:
             self._children = [None] * self.stats.shape[1]
         self._children[i] = child
-
-    def subtree_size(self) -> int:
-        total = 1
-        for child in self._children or ():
-            if child is not None:
-                total += child.subtree_size()
-        return total
 
 
 def ucb_score(node: Node, index: int, c: float) -> float:
@@ -163,8 +148,7 @@ class UniformEvaluator:
     """
 
     def evaluate(self, state: ColoringState):
-        aset = state.valid_actions()
-        actions = list(aset.existing) + [aset.new_color]
+        actions = state.valid_actions().actions()
         return actions, np.full(len(actions), 1.0 / len(actions)), 0.0
 
 
@@ -180,8 +164,7 @@ class RolloutEvaluator:
         self.baseline_cum = baseline_cum
 
     def evaluate(self, state: ColoringState):
-        aset = state.valid_actions()
-        actions = list(aset.existing) + [aset.new_color]
+        actions = state.valid_actions().actions()
         priors = np.full(len(actions), 1.0 / len(actions))
         rollout = state.clone()
         while rollout.t < self.t_end:
@@ -251,8 +234,6 @@ class SearchTree:
     dirichlet_frac: float = 0.25
     rng: np.random.Generator | None = None
     root: Node = field(init=False)
-    simulations_run: int = field(init=False, default=0)
-    arena_size: int = field(init=False, default=0)
     _pending: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -263,7 +244,6 @@ class SearchTree:
         if len(self.baseline_cum) < self.t_end + 1:
             raise ContractError("baseline trace shorter than the window")
         self.root = self._make_node(self.state)
-        self.arena_size = 1
 
     def _window_end(self, state: ColoringState) -> bool:
         return state.t >= self.t_end
@@ -307,7 +287,6 @@ class SearchTree:
                     return state
                 child = Node.terminal(self._exact_value(state))
                 node.attach(i, child)
-                self.arena_size += 1
             node = child
         self._pending = (path, node.terminal_value)
         return None
@@ -322,9 +301,7 @@ class SearchTree:
             actions, priors, v = evaluation
             node, i = path[-1]
             node.attach(i, Node.expanded(actions, priors))
-            self.arena_size += 1
         backup(path, v)
-        self.simulations_run += 1
         return v
 
     def simulate(self) -> float:
@@ -344,7 +321,6 @@ class SearchTree:
         else:
             self._mix_root_noise(child)
         self.root = child
-        self.arena_size = child.subtree_size()
 
     def root_pi(self, tau: float = 1.0) -> np.ndarray:
         return pi_from_counts(self.root.visits, tau)

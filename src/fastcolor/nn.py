@@ -97,19 +97,10 @@ class ParamStore:
     def trainable_names(self) -> list[str]:
         return [n for n in self._params if not self.is_buffer(n)]
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {n: np.zeros_like(self._params[n]) for n in self.trainable_names()}
-
     def copy(self) -> "ParamStore":
         other = ParamStore(self.dtype)
         for n, a in self._params.items():
             other.add(n, a.copy())
-        return other
-
-    def astype(self, dtype) -> "ParamStore":
-        other = ParamStore(dtype)
-        for n, a in self._params.items():
-            other.add(n, a)
         return other
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .checkpoint import Checkpoint, save_checkpoint
 from .coloring import (
     ColoringState,
+    HEURISTIC_KINDS,
     Outcome,
     check_proper,
     compute_order,
@@ -50,7 +51,6 @@ from .selfplay import (
     run_selfplay,
 )
 
-HEURISTICS = ("unordered", "ordered", "dynamic")
 METRICS_HEADER = "iteration,loss,eval_avg_colors,win_rate,wall_clock"
 
 
@@ -173,7 +173,7 @@ class EvalReport:
 
 
 def evaluate(graphs: Sequence[Graph], cfg: Config, model: Model | None = None,
-             mode: str = "greedy", heuristics: Sequence[str] = HEURISTICS,
+             mode: str = "greedy", heuristics: Sequence[str] = HEURISTIC_KINDS,
              simulations: int | None = None) -> EvalReport:
     """Color every graph with every method; tally against the best
     heuristic count per graph. ``mode`` selects how the model decodes."""
@@ -250,12 +250,22 @@ def _history_array(history) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
+def _non_finite(loss: float, store: ParamStore) -> str | None:
+    """What a training step left non-finite: the loss, else the first
+    bad parameter; None when all is finite."""
+    if not np.isfinite(loss):
+        return f"non-finite loss {loss!r}"
+    return next((f"non-finite parameter {name!r}" for name, a in store.items()
+                 if not np.isfinite(a).all()), None)
+
+
 def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     """Run self-play / train / gate loops and write run artifacts.
 
     Artifacts under the output directory: metrics.csv, episodes.jsonl,
     best.ckpt (latest gated model, absent until one gates), last.ckpt.
-    A non-finite loss aborts with the offending state dumped.
+    A non-finite loss or parameter after a training step aborts with the
+    offending state dumped.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -265,9 +275,9 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     candidate = Model(init_fastcolornet(cfg), version=0)
     adam = AdamState.for_store(candidate.store, lr=cfg.lr)
     baseline = bootstrap_oracle()
-    best: Model | None = None
-    best_store = candidate.store.copy()
-    best_version = 0
+    buffer = ReplayBuffer(cfg.buffer_capacity)
+    # the incumbent's tables live in the buffer's cache, which training reads
+    incumbent = Model(candidate.store.copy(), version=0, cache=buffer.embeddings)
     incumbent_avg = float(np.mean(
         [policy_colors(g, GreedyPolicy(), cfg) for g in eval_graphs]))
 
@@ -275,7 +285,6 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     gate_history: list[tuple[int, bool, float, float]] = []
     ckpt_path = os.path.join(out, "best.ckpt")
     saved_best = False
-    buffer = ReplayBuffer(cfg.buffer_capacity)
     train_rng = make_rng(int(mix64(cfg.seed, 1)))
     episode_log = os.path.join(out, "episodes.jsonl")
 
@@ -297,7 +306,7 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
                 TrainMove(
                     move=build_contexts(
                         reconstruct_state(r, cfg),
-                        buffer.table_for(r, best_store, cfg, best_version),
+                        buffer.table_for(r, incumbent.store, cfg, incumbent.version),
                         cfg,
                     ),
                     pi=r.pi,
@@ -306,13 +315,13 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
                 for r in recs
             ]
             loss, _ = fcn_train_step(batch, candidate.store, cfg, adam, train_rng)
-            if not np.isfinite(loss):
+            bad = _non_finite(loss, candidate.store)
+            if bad:
                 dump = os.path.join(out, "nan_dump.ckpt")
                 save_checkpoint(dump, Checkpoint(
                     params=candidate.store, adam=adam, config_hash=cfg.hash(),
                     iteration=it, gate_history=_history_array(gate_history)))
-                raise StateError(
-                    f"non-finite loss {loss!r} at iteration {it}; state dumped to {dump}")
+                raise StateError(f"{bad} at iteration {it}; state dumped to {dump}")
             losses.append(loss)
         mean_loss = float(np.mean(losses)) if losses else 0.0
 
@@ -321,14 +330,13 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
         gate = gate_model(candidate.policy(cfg), incumbent_avg, eval_graphs, cfg)
         gate_history.append((it, gate.accepted, gate.candidate_avg, gate.incumbent_avg))
         if gate.accepted:
-            best_store = candidate.store.copy()
-            best_version = candidate.version
-            best = Model(best_store, version=best_version)
-            baseline = BaselineOracle(best.policy(cfg))
+            incumbent = Model(candidate.store.copy(), version=candidate.version,
+                              cache=buffer.embeddings)
+            baseline = BaselineOracle(incumbent.policy(cfg))
             incumbent_avg = gate.candidate_avg
-            buffer.embeddings.drop_below(best_version)
+            buffer.embeddings.drop_below(incumbent.version)
             save_checkpoint(ckpt_path, Checkpoint(
-                params=best_store, adam=adam, config_hash=cfg.hash(),
+                params=incumbent.store, adam=adam, config_hash=cfg.hash(),
                 iteration=it, gate_history=_history_array(gate_history)))
             saved_best = True
 
@@ -341,6 +349,7 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     save_checkpoint(os.path.join(out, "last.ckpt"), Checkpoint(
         params=candidate.store, adam=adam, config_hash=cfg.hash(),
         iteration=len(metrics) - 1, gate_history=_history_array(gate_history)))
-    return TrainResult(metrics=metrics, best=best, incumbent_avg=incumbent_avg,
+    return TrainResult(metrics=metrics, best=incumbent if saved_best else None,
+                       incumbent_avg=incumbent_avg,
                        gate_history=gate_history,
                        checkpoint_path=ckpt_path if saved_best else None)

@@ -380,48 +380,22 @@ def sample_positions(graphs: Sequence[Graph], cfg: Config, seed: int) -> list[tu
 
 
 class ReplayBuffer:
-    """FIFO record store holding a single shared copy of each graph."""
+    """Bounded FIFO of records: appending beyond ``capacity`` drops the
+    oldest."""
 
     def __init__(self, capacity: int = 2**20) -> None:
         if capacity < 1:
             raise ParameterError("capacity must be >= 1")
         self.capacity = capacity
         self.embeddings = EmbeddingCache()
-        self._records: deque[MoveRecord] = deque()
-        self._graphs: dict[str, Graph] = {}
-        self._refs: dict[str, int] = {}
+        self._records: deque[MoveRecord] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def graph_count(self) -> int:
-        return len(self._graphs)
-
-    def refcount(self, graph_key: str) -> int:
-        return self._refs.get(graph_key, 0)
-
     def append(self, records: Iterable[MoveRecord]) -> None:
-        """Add records oldest-first, evicting beyond capacity."""
-        for rec in records:
-            key = rec.graph.key()
-            canon = self._graphs.get(key)
-            if canon is None:
-                self._graphs[key] = rec.graph
-            else:
-                rec.graph = canon
-            self._refs[key] = self._refs.get(key, 0) + 1
-            self._records.append(rec)
-            while len(self._records) > self.capacity:
-                self._evict_oldest()
-
-    def _evict_oldest(self) -> None:
-        old = self._records.popleft()
-        key = old.graph.key()
-        self._refs[key] -= 1
-        if self._refs[key] == 0:
-            del self._refs[key]
-            del self._graphs[key]
+        """Add records oldest-first."""
+        self._records.extend(records)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[MoveRecord]:
         """Uniform with replacement."""

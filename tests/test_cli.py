@@ -122,7 +122,7 @@ class TestColor:
         ck_path = tmp_path / "model.ckpt"
         checkpoint_for(cfg, str(ck_path))
         other = tmp_path / "other.cfg"
-        tiny_cfg(seed=999).save(str(other))
+        tiny_cfg(p_width=24).save(str(other))
         assert main(["color", "--graph", k4_file, "--model", str(ck_path),
                      "--config", str(other)]) == 1
         assert "config hash" in capsys.readouterr().err

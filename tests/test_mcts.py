@@ -51,6 +51,12 @@ def make_tree(g: Graph, state: ColoringState | None = None, t_end: int | None = 
                       t_end=t_end, baseline_cum=cum, **kw)
 
 
+def count_nodes(node) -> int:
+    """Nodes in the subtree under ``node``, itself included."""
+    return 1 + sum(count_nodes(child) for child in map(node.child, range(len(node.actions)))
+                   if child is not None)
+
+
 class TestUcb:
     def _node(self, prior, visits, value):
         node = Node.expanded(list(range(len(prior))), np.asarray(prior, dtype=float))
@@ -152,7 +158,6 @@ class TestSearch:
         tree = make_tree(g)
         search(tree, 57)
         assert int(tree.root.visits.sum()) == 57
-        assert tree.simulations_run == 57
 
     def test_q_stays_bounded(self):
         g = gen_er(12, 0.5, seed=1)
@@ -164,7 +169,8 @@ class TestSearch:
             assert (node.visits >= 0).all()
             if node.prior.size:
                 assert abs(node.prior.sum() - 1.0) < 1e-6
-            for child in node.children:
+            for i in range(len(node.actions)):
+                child = node.child(i)
                 if child is not None:
                     check(child)
 
@@ -229,7 +235,7 @@ class TestAdvanceRoot:
         tree = make_tree(g)
         search(tree, 100)
         i = int(np.argmax(tree.root.visits))
-        child = tree.root.children[i]
+        child = tree.root.child(i)
         assert child is not None
         grand_visits = child.visits.copy()
         tree.advance_root(tree.root.actions[i])
@@ -240,20 +246,27 @@ class TestAdvanceRoot:
         g = complete_graph(5)  # every move forced
         tree = make_tree(g)
         search(tree, 50)
-        child = tree.root.children[0]
+        child = tree.root.child(0)
         expect = int(child.visits.sum()) if child is not None else 0
         tree.advance_root(0)
         assert int(tree.root.visits.sum()) == expect
 
     def test_arena_shrinks(self):
         g = gen_er(12, 0.45, seed=3)
-        tree = make_tree(g)
+        state = ColoringState(g)
+        while state.valid_actions().size < 2:  # a root with siblings to discard
+            state.apply_inplace(state.greedy_action())
+        tree = make_tree(g, state)
         search(tree, 300)
-        before = tree.arena_size
+        before = count_nodes(tree.root)
         i = int(np.argmax(tree.root.visits))
+        child = tree.root.child(i)
+        kept = count_nodes(child)
+        assert kept < before - 1  # some sibling subtree was expanded
         tree.advance_root(tree.root.actions[i])
-        assert 0 < tree.arena_size < before
-        assert tree.arena_size == tree.root.subtree_size()
+        # only the chosen child's subtree survives
+        assert tree.root is child
+        assert count_nodes(tree.root) == kept
 
     def test_unexpanded_child_becomes_fresh_root(self):
         g = gen_er(10, 0.4, seed=4)

@@ -24,8 +24,8 @@ from fastcolor.pipeline import (
     policy_colors,
     policy_iteration,
 )
-from fastcolor import pipeline
-from fastcolor.selfplay import GreedyPolicy, ReplayBuffer
+from fastcolor import fastcolornet, pipeline
+from fastcolor.selfplay import EmbeddingCache, GreedyPolicy, ReplayBuffer
 
 from conftest import complete_graph
 
@@ -260,6 +260,37 @@ class TestPolicyIteration:
         assert len(seen) == 3 * steps
         assert seen[2 * steps:] == [{2}] * steps
 
+    def test_incumbent_tables_computed_once_per_version(self, tmp_path, monkeypatch):
+        misses = []  # (cache, graph key, version) per computed table
+        table = EmbeddingCache.table
+
+        def spy_table(self, g, store, cfg, version):
+            before = len(self)
+            out = table(self, g, store, cfg, version)
+            if len(self) > before:
+                misses.append((id(self), g.key(), version))
+            return out
+
+        gated = []
+        gate = pipeline.gate_model
+
+        def spy_gate(candidate_policy, *args):
+            gated.append(id(candidate_policy.cache))
+            return gate(candidate_policy, *args)
+
+        monkeypatch.setattr(EmbeddingCache, "table", spy_table)
+        monkeypatch.setattr(pipeline, "gate_model", spy_gate)
+        cfg = tiny_cfg(train_iterations=3)
+        result = policy_iteration(cfg, out_dir=str(tmp_path))
+        promoted = {it for it, accepted, _, _ in result.gate_history if accepted}
+        assert {1, 2} <= promoted
+        # the incumbent's baseline trace and training share one table per
+        # graph and version; the candidate's cache is separate
+        incumbent = [(key, version) for cache, key, version in misses
+                     if cache not in gated and version in promoted]
+        assert {version for _, version in incumbent} == {1, 2}
+        assert len(incumbent) == len(set(incumbent))
+
     def test_deterministic_metrics(self, tmp_path):
         cfg = tiny_cfg()
         a = policy_iteration(cfg, out_dir=str(tmp_path / "a"))
@@ -278,6 +309,20 @@ class TestPolicyIteration:
         with pytest.raises(StateError, match="non-finite loss"):
             policy_iteration(cfg, out_dir=str(tmp_path))
         assert (tmp_path / "nan_dump.ckpt").exists()
+
+    def test_nan_parameter_aborts_with_dump(self, tmp_path, monkeypatch):
+        step = fastcolornet.adam_step
+
+        def poisoned(store, grads, state):
+            step(store, grads, state)
+            store["p.head.w"][0, 0] = np.nan
+
+        monkeypatch.setattr(fastcolornet, "adam_step", poisoned)
+        cfg = tiny_cfg(train_iterations=1)
+        with pytest.raises(StateError, match="non-finite parameter 'p.head.w'"):
+            policy_iteration(cfg, out_dir=str(tmp_path))
+        dumped = load_checkpoint(str(tmp_path / "nan_dump.ckpt")).params
+        assert np.isnan(dumped["p.head.w"][0, 0])
 
     def test_target_stops_early(self, tmp_path):
         cfg = tiny_cfg(train_iterations=50, target_avg_colors=100.0)

@@ -313,27 +313,6 @@ class TestReplayBuffer:
         assert len(buf) == 2
         seen = {r.t for r in buf.sample(200, make_rng(0))}
         assert seen == {1, 2}
-        assert buf.refcount(ga.key()) == 1
-        assert buf.refcount(gb.key()) == 1
-
-    def test_graph_dropped_with_last_record(self):
-        ga, gb = gen_er(6, 0.5, seed=0), gen_er(6, 0.5, seed=1)
-        buf = ReplayBuffer(capacity=2)
-        buf.append([_record(ga), _record(gb), _record(gb)])
-        assert buf.graph_count == 1
-        assert buf.refcount(ga.key()) == 0
-        assert buf.refcount(gb.key()) == 2
-
-    def test_single_graph_copy_for_shared_records(self):
-        a = gen_er(8, 0.5, seed=3)
-        b = gen_er(8, 0.5, seed=3)
-        assert a is not b
-        buf = ReplayBuffer(capacity=10)
-        recs = [_record(a), _record(b)]
-        buf.append(recs)
-        assert buf.graph_count == 1
-        assert buf.refcount(a.key()) == 2
-        assert recs[1].graph is recs[0].graph
 
     def test_sample_uniform_with_replacement(self):
         g = gen_er(6, 0.5, seed=0)
