@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ParseError, SizeError, StateError
+from .errors import ContractError, ParameterError, SizeError, StateError
 from .graph import Graph
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "estimate_mdp_size",
     "brute_force_chromatic",
     "check_proper",
-    "save_coloring",
-    "load_coloring",
 ]
 
 HEURISTIC_KINDS = ("unordered", "ordered", "dynamic")
@@ -320,33 +318,3 @@ def check_proper(g: Graph, assignment: np.ndarray) -> None:
     if hits.size:
         v = int(np.searchsorted(g.offsets, hits[0], side="right")) - 1
         raise ContractError(f"edge ({v}, {int(g.neighbors[hits[0]])}) is monochromatic")
-
-
-def save_coloring(assignment: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v, c in enumerate(np.asarray(assignment).tolist()):
-            fh.write(f"{v} {c}\n")
-
-
-def load_coloring(g: Graph, path: str) -> np.ndarray:
-    """Read 'vertex color' lines and verify the result is proper for g."""
-    assignment = np.full(g.n, -1, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'vertex color'")
-            try:
-                v, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from None
-            if not 0 <= v < g.n:
-                raise ParseError(f"{path}:{lineno}: vertex {v} out of range")
-            if assignment[v] != -1:
-                raise ParseError(f"{path}:{lineno}: vertex {v} assigned twice")
-            assignment[v] = c
-    check_proper(g, assignment)
-    return assignment

@@ -23,13 +23,13 @@ CONFIG_VERSION = 1
 __all__ = ["Config", "CONFIG_VERSION", "HASHED_FIELDS", "expand_sources"]
 
 # What init_fastcolornet, compute_embeddings (with the embed_seed it is
-# handed) and build_contexts read, the forward passes' pool, and the
-# generator: the fields that fix what a checkpoint's parameters mean.
+# handed) and build_contexts read, and the generator: the fields that fix
+# what a checkpoint's parameters mean.
 HASHED_FIELDS = (
     "generator", "dtype", "init_seed", "feature_bins", "embed_dim", "embed_hidden",
     "embed_iterations", "lstm_steps", "embed_seed", "window", "color_set_size",
     "v_width", "v_layers", "p_width", "p_layers", "seq_channels", "seq_layers",
-    "seq_filter", "candidate_cap", "pool", "pool_problem_context", "candidate_seq2seq",
+    "seq_filter", "candidate_cap",
 )
 
 
@@ -67,9 +67,6 @@ class Config:
     seq_layers: int = 3
     seq_filter: int = 7
     candidate_cap: int = 256
-    pool: str = "mean"  # or "max"
-    pool_problem_context: bool = True  # False feeds the raw sequence per candidate
-    candidate_seq2seq: bool = True
     dtype: str = "float32"
     init_seed: int = 7
 
@@ -106,8 +103,6 @@ class Config:
             raise ParameterError("run_ahead and mcts_segment must be >= 1")
         if not 0.0 <= self.move_sample_rate <= 1.0:
             raise ParameterError("move_sample_rate must be in [0, 1]")
-        if self.pool not in ("mean", "max"):
-            raise ParameterError(f"unknown pool {self.pool!r}")
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64")
         if self.seq_filter % 2 == 0:

@@ -241,7 +241,12 @@ def _walk_forward(g: Graph, store: ParamStore, cfg, table: EmbeddingTable,
     Off-chain inputs come from ``table`` (constants). Returns the top
     embedding (for ``chain[0]``'s vertex) and per-element caches.
     """
-    deg1hot = degree_onehot_matrix(g, cfg.feature_bins, dtype=store.dtype)
+    maximum = max(1, g.max_degree)
+
+    def deg1hot(u: int) -> np.ndarray:
+        # the chain vertex's row of degree_onehot_matrix, without building it
+        return onehot_vector(g.degree(u), maximum, cfg.feature_bins, store.dtype)
+
     caches = []
     lower_mu: np.ndarray | None = None
     for t, v, j in reversed(chain):
@@ -250,9 +255,9 @@ def _walk_forward(g: Graph, store: ParamStore, cfg, table: EmbeddingTable,
             nbr_deg = np.zeros(cfg.feature_bins, dtype=store.dtype)
             nbr_prev = np.zeros(cfg.embed_dim, dtype=store.dtype)
         else:
-            nbr_deg = deg1hot[j]
+            nbr_deg = deg1hot(j)
             nbr_prev = lower_mu if lower_mu is not None else table.tables[t - 1][j]
-        feats = np.concatenate([deg1hot[v], own_prev, nbr_deg, nbr_prev])[None, :]
+        feats = np.concatenate([deg1hot(v), own_prev, nbr_deg, nbr_prev])[None, :]
         mu, cache = transfer_forward(store, cfg, feats)
         caches.append(cache)
         lower_mu = mu[0]

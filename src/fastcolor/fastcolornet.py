@@ -207,15 +207,11 @@ def init_fastcolornet(cfg, seed: int | None = None) -> ParamStore:
     _init_stack(store, "v.fc", gc_width + cfg.seq_channels, cfg.v_width, cfg.v_layers, rng)
     init_dense(store, "v.head", cfg.v_width, 3, rng, zero=True)
 
-    pc_width = cfg.embed_dim if cfg.pool_problem_context else 2 * cfg.window * cfg.embed_dim
-    cand_in = gc_width + pc_width + cfg.color_set_size * cfg.embed_dim
+    cand_in = gc_width + cfg.embed_dim + cfg.color_set_size * cfg.embed_dim
     _init_stack(store, "p.fc", cand_in, cfg.p_width, cfg.p_layers, rng)
-    if cfg.candidate_seq2seq:
-        _init_stack(store, "p.seq", cfg.p_width, cfg.seq_channels, cfg.seq_layers, rng,
-                    cfg.seq_filter)
-        init_dense(store, "p.head", cfg.seq_channels, 1, rng, zero=True)
-    else:
-        init_dense(store, "p.head", cfg.p_width, 1, rng, zero=True)
+    _init_stack(store, "p.seq", cfg.p_width, cfg.seq_channels, cfg.seq_layers, rng,
+                cfg.seq_filter)
+    init_dense(store, "p.head", cfg.seq_channels, 1, rng, zero=True)
     return store
 
 
@@ -286,21 +282,9 @@ def _acc(grads: dict, name: str, val: np.ndarray) -> None:
         grads[name] = val
 
 
-def _pool_forward(x: np.ndarray, kind: str):
-    # x (B, S, C) -> (B, C)
-    if kind == "mean":
-        return x.mean(axis=1), None
-    idx = x.argmax(axis=1)
-    return np.take_along_axis(x, idx[:, None, :], axis=1)[:, 0, :], idx
-
-
-def _pool_backward(dp: np.ndarray, x_shape, kind: str, idx):
-    s = x_shape[1]
-    if kind == "mean":
-        return np.broadcast_to(dp[:, None, :] / s, x_shape).copy()
-    dx = np.zeros(x_shape, dtype=dp.dtype)
-    np.put_along_axis(dx, idx[:, None, :], dp[:, None, :], axis=1)
-    return dx
+def _pool_backward(dp: np.ndarray, x_shape) -> np.ndarray:
+    # gradient of the mean over axis 1: (B, C) -> (B, S, C)
+    return np.broadcast_to(dp[:, None, :] / x_shape[1], x_shape).copy()
 
 
 # -- networks ----------------------------------------------------------
@@ -315,22 +299,21 @@ def v_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
     seq_out, seq_cache = _stack_forward(store, "v.seq", pc.reshape(b * s, dim), cfg.seq_layers,
                                         training, grid=np.ones((b, s), dtype=bool))
     seq_out = seq_out.reshape(b, s, -1)
-    pooled, pool_idx = _pool_forward(seq_out, cfg.pool)
-    h = np.concatenate([gc, pooled], axis=1)
+    h = np.concatenate([gc, seq_out.mean(axis=1)], axis=1)
     fc_out, fc_cache = _stack_forward(store, "v.fc", h, cfg.v_layers, training)
     logits, head_cache = dense_forward(fc_out, store["v.head.w"], store["v.head.b"])
     v3 = softmax(logits)
-    cache = (seq_cache, pool_idx, seq_out.shape, fc_cache, head_cache, gc.shape[1])
+    cache = (seq_cache, seq_out.shape, fc_cache, head_cache, gc.shape[1])
     return v3, logits, cache
 
 
-def v_backward(store: ParamStore, cfg, dlogits: np.ndarray, cache, grads: dict) -> np.ndarray:
-    seq_cache, pool_idx, seq_shape, fc_cache, head_cache, gc_width = cache
+def v_backward(store: ParamStore, dlogits: np.ndarray, cache, grads: dict) -> np.ndarray:
+    seq_cache, seq_shape, fc_cache, head_cache, gc_width = cache
     dh, dw, db = dense_backward(dlogits, head_cache)
     _acc(grads, "v.head.w", dw)
     _acc(grads, "v.head.b", db)
     dh = _stack_backward(store, "v.fc", dh, fc_cache, grads)
-    dseq = _pool_backward(dh[:, gc_width:], seq_shape, cfg.pool, pool_idx)
+    dseq = _pool_backward(dh[:, gc_width:], seq_shape)
     b, s, c = seq_shape
     d_pc = _stack_backward(store, "v.seq", dseq.reshape(b * s, c), seq_cache, grads)
     return d_pc.reshape(b, s, -1)
@@ -344,47 +327,36 @@ def p_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
     if (sizes == 0).any():
         raise ContractError("every move must offer at least one candidate")
     pc = pc_override if pc_override is not None else np.stack([mi.pc for mi in moves])
-    if cfg.pool_problem_context:
-        pc_feat, pc_pool_idx = _pool_forward(pc, cfg.pool)
-    else:
-        pc_feat, pc_pool_idx = pc.reshape(pc.shape[0], -1), None
     gc = np.stack([mi.gc for mi in moves])
     cands = cand_override if cand_override is not None else [mi.cand_sets for mi in moves]
-    head = np.concatenate([gc, pc_feat], axis=1)
+    head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
     x = np.concatenate([np.repeat(head, sizes, axis=0),
                         np.concatenate([c.reshape(c.shape[0], -1) for c in cands])], axis=1)
     feats, fc_cache = _stack_forward(store, "p.fc", x, cfg.p_layers, training)
-    seq_cache = None
-    if cfg.candidate_seq2seq:
-        # one zero-padded sequence per move, so conv taps never cross moves
-        grid = np.arange(sizes.max()) < sizes[:, None]
-        feats, seq_cache = _stack_forward(store, "p.seq", feats, cfg.seq_layers, training, grid)
+    # one zero-padded sequence per move, so conv taps never cross moves
+    grid = np.arange(sizes.max()) < sizes[:, None]
+    feats, seq_cache = _stack_forward(store, "p.seq", feats, cfg.seq_layers, training, grid)
     scores, head_cache = dense_forward(feats, store["p.head.w"], store["p.head.b"])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     logits_list = np.split(scores[:, 0], starts[1:])
     p_list = [softmax(lg) for lg in logits_list]
-    cache = (starts, pc.shape, pc_pool_idx, fc_cache, seq_cache, head_cache,
-             gc.shape[1], pc_feat.shape[1])
+    cache = (starts, pc.shape, fc_cache, seq_cache, head_cache, gc.shape[1])
     return p_list, logits_list, cache
 
 
-def p_backward(store: ParamStore, cfg, dlogits_list, cache, grads: dict):
+def p_backward(store: ParamStore, dlogits_list, cache, grads: dict):
     """Returns (d_pc (B,2w,D), list of d_cand (K,m,D))."""
-    starts, pc_shape, pc_pool_idx, fc_cache, seq_cache, head_cache, gcw, pcfw = cache
+    starts, pc_shape, fc_cache, seq_cache, head_cache, gcw = cache
     dscores = np.concatenate(dlogits_list)[:, None]
     dfeats, dw, db = dense_backward(dscores, head_cache)
     _acc(grads, "p.head.w", dw)
     _acc(grads, "p.head.b", db)
-    if seq_cache is not None:
-        dfeats = _stack_backward(store, "p.seq", dfeats, seq_cache, grads)
+    dfeats = _stack_backward(store, "p.seq", dfeats, seq_cache, grads)
     dx = _stack_backward(store, "p.fc", dfeats, fc_cache, grads)
-    # every candidate row of a move saw the same problem context
-    d_pcf = np.add.reduceat(dx[:, gcw:gcw + pcfw], starts, axis=0)
-    if cfg.pool_problem_context:
-        d_pc = _pool_backward(d_pcf, pc_shape, cfg.pool, pc_pool_idx)
-    else:
-        d_pc = d_pcf.reshape(pc_shape)
-    d_cands = np.split(dx[:, gcw + pcfw:].reshape(dx.shape[0], -1, pc_shape[2]), starts[1:])
+    # every candidate row of a move saw the same pooled problem context
+    dim = pc_shape[2]
+    d_pc = _pool_backward(np.add.reduceat(dx[:, gcw:gcw + dim], starts, axis=0), pc_shape)
+    d_cands = np.split(dx[:, gcw + dim:].reshape(dx.shape[0], -1, dim), starts[1:])
     return d_pc, d_cands
 
 
@@ -420,7 +392,7 @@ class InferenceNet:
     v_fc: tuple[FoldedLayer, ...]
     v_head: tuple[np.ndarray, np.ndarray]
     p_fc: tuple[FoldedLayer, ...]
-    p_seq: tuple[FoldedLayer, ...]  # empty without candidate_seq2seq
+    p_seq: tuple[FoldedLayer, ...]
     p_head: tuple[np.ndarray, np.ndarray]
 
 
@@ -443,7 +415,7 @@ def freeze(store: ParamStore, cfg) -> InferenceNet:
         v_fc=_fold(store, "v.fc", "w", cfg.v_layers),
         v_head=(store["v.head.w"], store["v.head.b"]),
         p_fc=_fold(store, "p.fc", "w", cfg.p_layers),
-        p_seq=_fold(store, "p.seq", "k", cfg.seq_layers) if cfg.candidate_seq2seq else (),
+        p_seq=_fold(store, "p.seq", "k", cfg.seq_layers),
         p_head=(store["p.head.w"], store["p.head.b"]),
     )
 
@@ -466,24 +438,19 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
     return x
 
 
-def _policy_probs(net: InferenceNet, cfg, moves: list[MoveInput]) -> list[np.ndarray]:
+def _policy_probs(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]:
     # candidate rows of all moves, concatenated; p.seq convolves each
     # move's rows as one zero-padded sequence, as p_forward does
     sizes = np.array([mi.cand_sets.shape[0] for mi in moves])
-    pc = np.stack([mi.pc for mi in moves])
-    if cfg.pool_problem_context:
-        pc_feat = _pool_forward(pc, cfg.pool)[0]
-    else:
-        pc_feat = pc.reshape(len(moves), -1)
-    head = np.concatenate([np.stack([mi.gc for mi in moves]), pc_feat], axis=1)
+    pooled = np.stack([mi.pc for mi in moves]).mean(axis=1)
+    head = np.concatenate([np.stack([mi.gc for mi in moves]), pooled], axis=1)
     x = np.concatenate([np.repeat(head, sizes, axis=0),
                         np.concatenate([mi.cand_sets.reshape(mi.cand_sets.shape[0], -1)
                                         for mi in moves])], axis=1)
     feats = _folded_stack(x, net.p_fc, dense_forward)
-    if net.p_seq:
-        grid = np.arange(sizes.max()) < sizes[:, None]
-        feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
-                              grid[..., None])[grid]
+    grid = np.arange(sizes.max()) < sizes[:, None]
+    feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
+                          grid[..., None])[grid]
     scores, _ = dense_forward(feats, *net.p_head)
     # float64 normalization: equal logits give exactly uniform priors
     logits = scores[:, 0].astype(np.float64)
@@ -493,7 +460,7 @@ def _policy_probs(net: InferenceNet, cfg, moves: list[MoveInput]) -> list[np.nda
 def policy_forward(net: InferenceNet, cfg, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    return _policy_probs(net, cfg, [mi])[0]
+    return _policy_probs(net, [mi])[0]
 
 
 def policy_value_forward(net: InferenceNet, cfg,
@@ -501,10 +468,9 @@ def policy_value_forward(net: InferenceNet, cfg,
     """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
     and v_forward compute with training=False."""
     seq = _folded_stack(np.stack([mi.pc for mi in moves]), net.v_seq, conv1d_forward)
-    pooled, _ = _pool_forward(seq, cfg.pool)
-    h = np.concatenate([np.stack([mi.gc for mi in moves]), pooled], axis=1)
+    h = np.concatenate([np.stack([mi.gc for mi in moves]), seq.mean(axis=1)], axis=1)
     logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
-    return _policy_probs(net, cfg, moves), softmax(logits.astype(np.float64))
+    return _policy_probs(net, moves), softmax(logits.astype(np.float64))
 
 
 def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
@@ -581,8 +547,8 @@ def forward_backward(moves: list[MoveInput], pis, zs, store: ParamStore, cfg,
     dp_logits = [(p - np.asarray(pi)) / batch for p, pi in zip(p_list, pis)]
 
     grads: dict[str, np.ndarray] = {}
-    d_pc = v_backward(store, cfg, dv_logits, v_cache, grads)
-    d_pc_p, d_cands = p_backward(store, cfg, dp_logits, p_cache, grads)
+    d_pc = v_backward(store, dv_logits, v_cache, grads)
+    d_pc_p, d_cands = p_backward(store, dp_logits, p_cache, grads)
     d_pc = d_pc + d_pc_p
 
     for b, kind, pos, vertex in walks:

@@ -340,9 +340,6 @@ def save_edge_list(g: Graph, path: str) -> None:
         logger.warning("%s: trailing isolated vertices will not survive a reload", path)
 
 
-_GENERATORS = {"er": gen_er, "ws": gen_ws}
-
-
 @dataclass(frozen=True)
 class GraphSource:
     """A reproducible recipe for one graph: generator kind, params, seed."""
@@ -358,8 +355,6 @@ class GraphSource:
         elif self.kind == "ws":
             if len(self.params) != 3:
                 raise ParameterError("ws takes (n, k, beta)")
-        elif self.kind == "file":
-            pass
         else:
             raise ParameterError(f"unknown graph source kind {self.kind!r}")
 
@@ -367,10 +362,8 @@ class GraphSource:
         if self.kind == "er":
             n, p = self.params
             return gen_er(int(n), float(p), self.seed)
-        if self.kind == "ws":
-            n, k, beta = self.params
-            return gen_ws(int(n), int(k), float(beta), self.seed)
-        raise ParameterError("file sources are loaded via load_graph")
+        n, k, beta = self.params
+        return gen_ws(int(n), int(k), float(beta), self.seed)
 
     @staticmethod
     def parse(text: str) -> "GraphSource":

@@ -272,15 +272,20 @@ def _segment(g: Graph, start_t: int, cfg: Config, evaluator, baseline: BaselineO
     actions: list[int] = []
     verdict: Outcome | None = None
     aborted_at: int | None = None
+    search_end = min(start_t + cfg.mcts_segment, t_end)
 
-    # Fast-forward replays the baseline itself, so at the first move the
-    # window cannot be decided yet; checks start from the second.
-    for i in range(min(cfg.mcts_segment, t_end - start_t)):
-        if early_abort and i > 0:
+    while state.t < t_end:
+        # Fast-forward replays the baseline itself, so at the first move the
+        # window cannot be decided yet; checks start from the second.
+        if early_abort and state.t > start_t:
             verdict = abort_outcome(state.colors_used, state.t, t_end, baseline_end)
             if verdict is not None:
                 aborted_at = state.t
                 break
+        if state.t >= search_end:
+            tree = None  # free the search tree while the fast policy completes the window
+            state.apply_inplace(baseline.policy.choose(state))
+            continue
         for _ in range(cfg.simulations):
             leaf = tree.descend()
             tree.expand(None if leaf is None else (yield leaf))
@@ -293,16 +298,6 @@ def _segment(g: Graph, start_t: int, cfg: Config, evaluator, baseline: BaselineO
         taken.append((state.t, pi))
         actions.append(action)
         tree.advance_root(action)
-    del tree  # free the search tree while the fast policy completes the window
-
-    if verdict is None:
-        while state.t < t_end:
-            if early_abort:
-                verdict = abort_outcome(state.colors_used, state.t, t_end, baseline_end)
-                if verdict is not None:
-                    aborted_at = state.t
-                    break
-            state.apply_inplace(baseline.policy.choose(state))
     if verdict is None:
         verdict = outcome_vs_baseline(state.colors_used, baseline_end)
 

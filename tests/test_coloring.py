@@ -15,11 +15,9 @@ from fastcolor.coloring import (
     compute_order,
     estimate_mdp_size,
     greedy_color,
-    load_coloring,
     outcome_vs_baseline,
-    save_coloring,
 )
-from fastcolor.errors import ContractError, ParseError, SizeError, StateError
+from fastcolor.errors import ContractError, SizeError, StateError
 from fastcolor.graph import Graph, gen_er
 
 from conftest import complete_graph, crown_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -241,22 +239,3 @@ class TestProperness:
             check_proper(k4, np.array([0, 0, 1, 2]))
         with pytest.raises(ContractError, match="uncolored"):
             check_proper(k4, np.array([0, -1, 1, 2]))
-
-    def test_coloring_file_round_trip(self, tmp_path, petersen):
-        col = greedy_color(petersen, "dynamic")
-        path = tmp_path / "p.coloring"
-        save_coloring(col.assignment, str(path))
-        back = load_coloring(petersen, str(path))
-        assert np.array_equal(back, col.assignment)
-
-    def test_load_rejects_improper(self, tmp_path, k4):
-        path = tmp_path / "bad.coloring"
-        path.write_text("0 0\n1 0\n2 1\n3 2\n")
-        with pytest.raises(ContractError):
-            load_coloring(k4, str(path))
-
-    def test_load_rejects_double_assignment(self, tmp_path, k4):
-        path = tmp_path / "dup.coloring"
-        path.write_text("0 0\n0 1\n1 2\n2 3\n3 1\n")
-        with pytest.raises(ParseError, match="twice"):
-            load_coloring(k4, str(path))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fastcolor import embedding
 from fastcolor.config import Config
 from fastcolor.embedding import (
     EmbeddingTable,
@@ -288,6 +289,24 @@ class TestWalks:
 
     def test_full_length_walk_matches_finite_differences(self):
         self._walk_fd(path_graph(6), small_cfg(), vertex=3, length=None, seed=3)
+
+    def test_walks_bucket_only_chain_vertices(self, monkeypatch):
+        # a walk touches at most T vertices, so it must not build the
+        # (V, bins) degree matrix that compute_embeddings uses
+        cfg = small_cfg()
+        g = star_graph(5)
+        store = make_store(cfg)
+        table = compute_embeddings(g, store, cfg, seed=4)
+
+        def whole_graph(*args, **kwargs):
+            raise AssertionError("degree_onehot_matrix called by a walk")
+
+        monkeypatch.setattr(embedding, "degree_onehot_matrix", whole_graph)
+        for v in range(g.n):
+            got = walk_value(g, store, cfg, table, v, None, seed=4)
+            assert np.allclose(got, table.final[v], atol=1e-10)
+            grads = walk_backprop(g, store, cfg, table, v, np.ones(cfg.embed_dim), None, seed=4)
+            assert grads["emb.in.w"].any()
 
     def test_walk_grads_deterministic(self):
         cfg = small_cfg()

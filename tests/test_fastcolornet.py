@@ -218,40 +218,8 @@ class TestForward:
         assert np.array_equal(base.v3, got.v3)
         assert np.array_equal(base.p, got.p)
 
-    def test_duplicated_candidates_score_equally(self):
-        # weight sharing: with the candidate seq2seq disabled, identical
-        # candidate contexts must receive identical probability
-        cfg = tiny_cfg(candidate_seq2seq=False)
-        g = Graph.from_edges(6, [])
-        store, table, state = setup_state(g, cfg, moves=(0, 0, 1))
-        store["p.head.w"] = make_rng(2).normal(size=store["p.head.w"].shape)
-        mi = build_contexts(state, table, cfg)
-        # colors 0 and 1 hold different members; duplicate color 1's set
-        mi.cand_sets[0] = mi.cand_sets[1]
-        mi.cand_vertices[0] = mi.cand_vertices[1]
-        p_list, _, _ = p_forward(store, cfg, [mi], training=False)
-        assert np.isclose(p_list[0][0], p_list[0][1])
-        assert not np.isclose(p_list[0][0], p_list[0][2])
-
-    def test_permuting_candidates_permutes_p(self):
-        cfg = tiny_cfg(candidate_seq2seq=False)
-        g = Graph.from_edges(6, [])
-        store, table, state = setup_state(g, cfg, moves=(0, 1, 2))
-        store["p.head.w"] = make_rng(3).normal(size=store["p.head.w"].shape)
-        mi = build_contexts(state, table, cfg)
-        p_base, _, _ = p_forward(store, cfg, [mi], training=False)
-        perm = [2, 0, 1, 3]
-        swapped = MoveInput(table=mi.table, graph=mi.graph, gc=mi.gc, pc=mi.pc,
-                            pc_vertices=mi.pc_vertices,
-                            cand_sets=mi.cand_sets[perm],
-                            cand_vertices=mi.cand_vertices[perm],
-                            actions=[mi.actions[i] for i in perm])
-        p_perm, _, _ = p_forward(store, cfg, [swapped], training=False)
-        assert np.allclose(p_perm[0], p_base[0][perm])
-
-    @pytest.mark.parametrize("seq2seq", [True, False])
-    def test_batched_moves_score_as_single_moves(self, seq2seq):
-        cfg = tiny_cfg(candidate_seq2seq=seq2seq)
+    def test_batched_moves_score_as_single_moves(self):
+        cfg = tiny_cfg()
         g, store, table, batch = _training_batch(cfg, n_moves=6)
         randomize_inference_params(store, make_rng(6))
         moves = [tm.move for tm in batch]
@@ -418,13 +386,10 @@ class TestGradients:
         _, grads_nw, _ = forward_backward(moves, pis, zs, store, cfg, [], training=False)
         assert "emb.in.w" not in grads_nw
 
-    @pytest.mark.parametrize("pool", ["mean", "max"])
-    def test_training_mode_unpooled_context_finite_difference(self, pool):
-        # batch statistics in every batchnorm, the raw problem context in
-        # every candidate row, and moves of different candidate counts, so
-        # the candidate seq2seq runs over a padded grid
-        cfg = tiny_cfg(walk_rate=1.0, walk_budget=1000, pool=pool,
-                       pool_problem_context=False)
+    def test_training_mode_finite_difference(self):
+        # batch statistics in every batchnorm, and moves of different
+        # candidate counts, so the candidate seq2seq runs over a padded grid
+        cfg = tiny_cfg(walk_rate=1.0, walk_budget=1000)
         g = gen_er(12, 0.4, seed=3)
         store = init_fastcolornet(cfg, seed=2)
         prng = make_rng(5)
@@ -530,13 +495,10 @@ def random_move(cfg, k: int, rng) -> MoveInput:
 
 class TestFrozenInference:
     @given(n=st.integers(2, 12), p=st.floats(0.1, 0.9), seed=st.integers(0, 999),
-           pool=st.sampled_from(["mean", "max"]), seq2seq=st.booleans(),
-           pool_context=st.booleans(), dtype=st.sampled_from(["float64", "float32"]))
+           dtype=st.sampled_from(["float64", "float32"]))
     @settings(max_examples=40, deadline=None)
-    def test_snapshot_matches_eval_mode_forward(self, n, p, seed, pool, seq2seq,
-                                                pool_context, dtype):
-        cfg = tiny_cfg(pool=pool, candidate_seq2seq=seq2seq,
-                       pool_problem_context=pool_context, dtype=dtype)
+    def test_snapshot_matches_eval_mode_forward(self, n, p, seed, dtype):
+        cfg = tiny_cfg(dtype=dtype)
         tol = 1e-9 if dtype == "float64" else 1e-4
         g = gen_er(n, p, seed)
         store = init_fastcolornet(cfg, seed=seed)
@@ -564,14 +526,10 @@ class TestFrozenInference:
             state.apply_inplace(mi.actions[rng.integers(len(mi.actions))])
 
     @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8),
-           seed=st.integers(0, 999), pool=st.sampled_from(["mean", "max"]),
-           seq2seq=st.booleans(), pool_context=st.booleans(),
-           dtype=st.sampled_from(["float64", "float32"]))
+           seed=st.integers(0, 999), dtype=st.sampled_from(["float64", "float32"]))
     @settings(max_examples=60, deadline=None)
-    def test_batch_scores_each_move_as_alone(self, sizes, seed, pool, seq2seq,
-                                             pool_context, dtype):
-        cfg = tiny_cfg(pool=pool, candidate_seq2seq=seq2seq,
-                       pool_problem_context=pool_context, dtype=dtype)
+    def test_batch_scores_each_move_as_alone(self, sizes, seed, dtype):
+        cfg = tiny_cfg(dtype=dtype)
         tol = 1e-12 if dtype == "float64" else 1e-5
         store = init_fastcolornet(cfg, seed=seed)
         rng = make_rng(seed)
