@@ -90,10 +90,14 @@ class ColoringState:
 
     The next vertex to color is ``order[t]``. ``color_of`` holds -1 for
     uncolored vertices. ``color_members[c]`` lists the vertices of color
-    c in the order they were colored (newest last).
+    c in the order they were colored (newest last). For every uncolored
+    vertex v, ``neighbor_counts[v]`` maps each color to how many colored
+    neighbors of v use it (colors with none are absent), so stepping and
+    undoing a move cost O(deg).
     """
 
-    __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members")
+    __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members",
+                 "neighbor_counts", "_later")
 
     def __init__(self, graph: Graph, order: np.ndarray | None = None):
         self.graph = graph
@@ -108,6 +112,15 @@ class ColoringState:
         self.color_of = np.full(graph.n, -1, dtype=np.int32)
         self.colors_used = 0
         self.color_members: list[list[int]] = []
+        self.neighbor_counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
+        # A move updates the counts of the neighbors after it in the order
+        # only: a colored vertex's counts are not read again until undo
+        # uncolors it, and by then every later move is undone too.
+        pos = [0] * graph.n
+        for i, v in enumerate(order.tolist()):
+            pos[v] = i
+        adjacency = graph.adjacency()
+        self._later = [[u for u in adjacency[v] if pos[u] > pos[v]] for v in range(graph.n)]
 
     def clone(self) -> "ColoringState":
         other = ColoringState.__new__(ColoringState)
@@ -117,6 +130,8 @@ class ColoringState:
         other.color_of = self.color_of.copy()
         other.colors_used = self.colors_used
         other.color_members = [m.copy() for m in self.color_members]
+        other.neighbor_counts = [c.copy() for c in self.neighbor_counts]
+        other._later = self._later
         return other
 
     @property
@@ -128,13 +143,8 @@ class ColoringState:
             raise StateError("all vertices are colored")
         return int(self.order[self.t])
 
-    def neighbor_colors(self, v: int) -> set[int]:
-        cols = self.color_of[self.graph.neighbors_of(v)]
-        return set(int(c) for c in cols[cols >= 0])
-
     def valid_actions(self) -> ActionSet:
-        v = self.current_vertex()
-        blocked = self.neighbor_colors(v)
+        blocked = self.neighbor_counts[self.current_vertex()]
         existing = tuple(c for c in range(self.colors_used) if c not in blocked)
         return ActionSet(existing=existing, new_color=self.colors_used)
 
@@ -146,16 +156,40 @@ class ColoringState:
             self.color_members.append([])
         elif not (0 <= action < self.colors_used):
             raise ContractError(f"action {action} out of range at t={self.t}")
-        elif action in self.neighbor_colors(v):
+        elif action in self.neighbor_counts[v]:
             raise ContractError(f"color {action} conflicts at vertex {v}")
         self.color_of[v] = action
         self.color_members[action].append(v)
         self.t += 1
+        counts = self.neighbor_counts
+        for u in self._later[v]:
+            row = counts[u]
+            row[action] = row.get(action, 0) + 1
+
+    def undo(self) -> None:
+        """Take back the last move, restoring the state before it."""
+        if self.t == 0:
+            raise StateError("no move to undo")
+        self.t -= 1
+        v = int(self.order[self.t])
+        color = int(self.color_of[v])
+        self.color_of[v] = -1
+        members = self.color_members[color]
+        members.pop()
+        if not members:  # this move opened the color, the newest one
+            self.color_members.pop()
+            self.colors_used -= 1
+        counts = self.neighbor_counts
+        for u in self._later[v]:
+            row = counts[u]
+            if row[color] == 1:
+                del row[color]
+            else:
+                row[color] -= 1
 
     def greedy_action(self) -> int:
         """Smallest valid color id; opens a new color only when forced."""
-        v = self.current_vertex()
-        blocked = self.neighbor_colors(v)
+        blocked = self.neighbor_counts[self.current_vertex()]
         for c in range(self.colors_used):
             if c not in blocked:
                 return c
@@ -163,7 +197,8 @@ class ColoringState:
 
 
 def compute_order(g: Graph, kind: str) -> np.ndarray:
-    """Visitation order used by each heuristic.
+    """Visitation order used by each heuristic; computed once per (graph,
+    kind) and returned read-only.
 
     unordered: ascending vertex id. ordered: descending static degree,
     ties by ascending id. dynamic: repeatedly take the uncolored vertex
@@ -171,6 +206,16 @@ def compute_order(g: Graph, kind: str) -> np.ndarray:
     neighbors as vertices leave the pool. The dynamic order depends only
     on adjacency, never on chosen colors, so it can be precomputed.
     """
+
+    def build() -> np.ndarray:
+        order = _order(g, kind)
+        order.flags.writeable = False
+        return order
+
+    return g.memo(f"_order_{kind}", build)
+
+
+def _order(g: Graph, kind: str) -> np.ndarray:
     if kind == "unordered":
         return np.arange(g.n, dtype=np.int32)
     if kind == "ordered":

@@ -1,5 +1,5 @@
 """Vertex embeddings from a learned LSTM transfer function, plus the
-bucketed one-hot/multi-hot feature encoders.
+bucketed one-hot feature encoders.
 
 Embeddings are static per graph: each of T update iterations feeds every
 vertex a message built from its own degree bucket and previous embedding
@@ -14,6 +14,7 @@ off-chain embedding is held constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .rng import mix64
 __all__ = [
     "encode_onehot",
     "onehot_vector",
-    "encode_multihot",
     "degree_onehot_matrix",
     "sampled_neighbor",
     "sampled_neighbors_all",
@@ -66,14 +66,6 @@ def encode_onehot(value: int, maximum: int, size: int = 32) -> int:
 def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) -> np.ndarray:
     vec = np.zeros(size, dtype=dtype)
     vec[encode_onehot(value, maximum, size)] = 1.0
-    return vec
-
-
-def encode_multihot(values, maximum: int, size: int = 32, dtype=np.float32) -> np.ndarray:
-    """Union of one-hot positions; distinct values may share a bucket."""
-    vec = np.zeros(size, dtype=dtype)
-    for v in values:
-        vec[encode_onehot(v, maximum, size)] = 1.0
     return vec
 
 
@@ -135,6 +127,12 @@ class EmbeddingTable:
     @property
     def final(self) -> np.ndarray:
         return self.tables[-1]
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        """``final`` plus a zero row last, so a gather of vertex ids with
+        -1 for padding yields zeros there."""
+        return np.concatenate([self.final, np.zeros_like(self.final[:1])])
 
 
 def init_transfer_params(store: ParamStore, cfg, rng: np.random.Generator) -> None:

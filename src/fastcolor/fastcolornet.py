@@ -23,9 +23,8 @@ import numpy as np
 from .coloring import ActionSet, ColoringState, Outcome
 from .embedding import (
     EmbeddingTable,
-    encode_multihot,
+    encode_onehot,
     init_transfer_params,
-    onehot_vector,
     walk_backprop,
     walk_value,
 )
@@ -113,20 +112,21 @@ class TrainMove:
     z: Outcome
 
 
-def graph_context(state: ColoringState, aset: ActionSet, cfg) -> np.ndarray:
+def graph_context(state: ColoringState, aset: ActionSet, cfg, dtype=np.float64) -> np.ndarray:
     """Four stacked feature-bin blocks: vertex count (log2 bucketed),
     colors used, vertices colored so far, and the multi-hot of the valid
     existing colors in ``aset`` (the state's action set)."""
     g = state.graph
     bins = cfg.feature_bins
     maxc = g.max_degree + 1
-    count_block = np.zeros(bins)
+    gc = np.zeros(4 * bins, dtype=dtype)
     # vertex counts span orders of magnitude; bucket by bit length
-    count_block[min(bins - 1, g.n.bit_length() - 1)] = 1.0
-    used_block = onehot_vector(min(state.colors_used, maxc), maxc, bins)
-    progress_block = onehot_vector(state.t, g.n, bins)
-    valid_block = encode_multihot([min(c, maxc) for c in aset.existing], maxc, bins)
-    return np.concatenate([count_block, used_block, progress_block, valid_block])
+    gc[min(bins - 1, g.n.bit_length() - 1)] = 1.0
+    gc[bins + encode_onehot(min(state.colors_used, maxc), maxc, bins)] = 1.0
+    gc[2 * bins + encode_onehot(state.t, g.n, bins)] = 1.0
+    for c in aset.existing:
+        gc[3 * bins + encode_onehot(min(c, maxc), maxc, bins)] = 1.0
+    return gc
 
 
 def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInput:
@@ -135,18 +135,15 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     if table.tables.shape[1] != g.n:
         raise ContractError(
             f"embedding table covers {table.tables.shape[1]} vertices, graph has {g.n}")
-    w, m, dim = cfg.window, cfg.color_set_size, cfg.embed_dim
-    rows = table.final
+    w, m = cfg.window, cfg.color_set_size
+    rows = table.padded
     t = state.t
 
-    pc = np.zeros((2 * w, dim), dtype=rows.dtype)
+    # order[t-w .. t+w), -1 past either end of the order
+    lo, hi = max(t - w, 0), min(t + w, g.n)
     pc_vertices = np.full(2 * w, -1, dtype=np.int64)
-    for i in range(2 * w):
-        src = t - w + i
-        if 0 <= src < g.n:
-            v = int(state.order[src])
-            pc_vertices[i] = v
-            pc[i] = rows[v]
+    pc_vertices[lo - t + w:hi - t + w] = state.order[lo:hi]
+    pc = rows[pc_vertices]
 
     aset = state.valid_actions()
     existing = list(aset.existing)
@@ -161,15 +158,15 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
                            "later hits on this graph are counted, not logged",
                            cfg.candidate_cap, table.graph_key, t, len(aset.existing))
     k = len(existing) + 1
-    cand_sets = np.zeros((k, m, dim), dtype=rows.dtype)
-    cand_vertices = np.full((k, m), -1, dtype=np.int64)
+    # the m most recent members of each candidate, newest first
+    flat = [-1] * (k * m)
     for ci, color in enumerate(existing):
-        # the m most recent members, newest first
-        for si, v in enumerate(state.color_members[color][-m:][::-1]):
-            cand_sets[ci, si] = rows[v]
-            cand_vertices[ci, si] = v
+        recent = state.color_members[color][-m:][::-1]
+        flat[ci * m:ci * m + len(recent)] = recent
+    cand_vertices = np.array(flat, dtype=np.int64).reshape(k, m)
+    cand_sets = rows[cand_vertices]
 
-    gc = graph_context(state, aset, cfg).astype(rows.dtype)
+    gc = graph_context(state, aset, cfg, rows.dtype)
     return MoveInput(table=table, graph=g, gc=gc,
                      pc=pc, pc_vertices=pc_vertices, cand_sets=cand_sets,
                      cand_vertices=cand_vertices,
@@ -457,13 +454,13 @@ def _policy_probs(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]
     return [softmax(lg) for lg in np.split(logits, np.cumsum(sizes)[:-1])]
 
 
-def policy_forward(net: InferenceNet, cfg, mi: MoveInput) -> np.ndarray:
+def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
     return _policy_probs(net, [mi])[0]
 
 
-def policy_value_forward(net: InferenceNet, cfg,
+def policy_value_forward(net: InferenceNet,
                          moves: list[MoveInput]) -> tuple[list[np.ndarray], np.ndarray]:
     """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
     and v_forward compute with training=False."""
@@ -478,7 +475,7 @@ def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
     """Score states, each with its graph's table, in one batched forward
     of a frozen snapshot; pure given the arguments."""
     moves = [build_contexts(state, table, cfg) for state, table in zip(states, tables)]
-    p_list, v3 = policy_value_forward(net, cfg, moves)
+    p_list, v3 = policy_value_forward(net, moves)
     return [NetOutput(actions=mi.actions, p=p, v3=v, v=float(v[0] - v[2]), capped=mi.capped)
             for mi, p, v in zip(moves, p_list, v3)]
 

@@ -123,18 +123,34 @@ class Graph:
                 if not self.has_edge(int(u), v):
                     raise ParameterError(f"edge {v}->{u} missing its reverse")
 
+    def memo(self, name: str, build):
+        """``build()``, computed once per graph and kept on it; the graph
+        is immutable, so the value never goes stale."""
+        cached = self.__dict__.get(name)
+        if cached is None:
+            cached = build()
+            # frozen dataclass, so route the memo around __setattr__
+            object.__setattr__(self, name, cached)
+        return cached
+
     def key(self) -> str:
         """Stable content hash, used to deduplicate graphs in caches."""
-        cached = getattr(self, "_key", None)
-        if cached is None:
+
+        def digest() -> str:
             h = hashlib.sha256()
             h.update(str(self.n).encode())
             h.update(self.offsets.tobytes())
             h.update(self.neighbors.tobytes())
-            cached = h.hexdigest()
-            # frozen dataclass, so route the memo around __setattr__
-            object.__setattr__(self, "_key", cached)
-        return cached
+            return h.hexdigest()
+
+        return self.memo("_key", digest)
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbor rows as Python int lists, for per-move loops that
+        would pay a NumPy scalar conversion per element (do not mutate)."""
+        return self.memo("_adjacency", lambda: [
+            self.neighbors[self.offsets[v]:self.offsets[v + 1]].tolist()
+            for v in range(self.n)])
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
@@ -372,7 +388,10 @@ class GraphSource:
         if len(parts) != 3 or not parts[2].startswith("seed="):
             raise ParameterError(f"bad graph source {text!r}, want kind:params:seed=N")
         kind = parts[0]
-        params = tuple(float(x) for x in parts[1].split(",") if x)
+        try:
+            params = tuple(float(x) for x in parts[1].split(",") if x)
+        except ValueError:
+            raise ParameterError(f"bad params in {text!r}, want numbers") from None
         try:
             seed = int(parts[2][len("seed="):])
         except ValueError:

@@ -153,7 +153,8 @@ class UniformEvaluator:
 
 
 class RolloutEvaluator:
-    """Uniform priors; value = exact outcome of a greedy completion.
+    """Uniform priors; value = exact outcome of a greedy completion,
+    played on the state itself and undone before returning.
 
     Serves both as the network-free search configuration and as the
     bootstrap evaluator before any training has happened.
@@ -166,11 +167,13 @@ class RolloutEvaluator:
     def evaluate(self, state: ColoringState):
         actions = state.valid_actions().actions()
         priors = np.full(len(actions), 1.0 / len(actions))
-        rollout = state.clone()
-        while rollout.t < self.t_end:
-            rollout.apply_inplace(rollout.greedy_action())
-        v = outcome_vs_baseline(rollout.colors_used,
+        start = state.t
+        while state.t < self.t_end:
+            state.apply_inplace(state.greedy_action())
+        v = outcome_vs_baseline(state.colors_used,
                                 int(self.baseline_cum[self.t_end])).game_value
+        while state.t > start:
+            state.undo()
         return actions, priors, v
 
 
@@ -269,12 +272,14 @@ class SearchTree:
     def descend(self) -> ColoringState | None:
         """Select from the root to an unexpanded edge or a window-end state.
 
-        Returns the state behind the edge when it needs an evaluation,
-        None at a window-end state, whose value is exact; ``expand``
-        completes the pass either way.
+        Steps the tree's own ``state`` down the path. Returns it, now the
+        state behind the edge, when it needs an evaluation, and None at a
+        window-end state, whose value is exact. ``expand`` completes the
+        pass either way and takes the path back, so nothing may step the
+        state in between.
         """
         node = self.root
-        state = self.state.clone()
+        state = self.state
         path: list[tuple[Node, int]] = []
         while node.terminal_value is None:
             i = select_index(node, self.c)
@@ -292,11 +297,13 @@ class SearchTree:
         return None
 
     def expand(self, evaluation: tuple | None = None) -> float:
-        """Finish the pass ``descend`` began: attach the leaf from
-        ``evaluation`` (actions, priors, value) when it returned a state,
-        then back the value up the path; returns the value."""
+        """Finish the pass ``descend`` began: undo its path, attach the
+        leaf from ``evaluation`` (actions, priors, value) when it returned
+        a state, then back the value up the path; returns the value."""
         path, v = self._pending
         self._pending = None
+        for _ in path:
+            self.state.undo()
         if evaluation is not None:
             actions, priors, v = evaluation
             node, i = path[-1]

@@ -59,7 +59,7 @@ class NetPolicy:
     def choose(self, state: ColoringState) -> int:
         table = self.cache.table(state.graph, self.store, self.cfg, self.version)
         mi = build_contexts(state, table, self.cfg)
-        return int(mi.actions[int(np.argmax(policy_forward(self.net, self.cfg, mi)))])
+        return int(mi.actions[int(np.argmax(policy_forward(self.net, mi)))])
 
 
 class EmbeddingCache:

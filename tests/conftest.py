@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fastcolor.coloring import ColoringState
 from fastcolor.graph import Graph
 
 
@@ -39,6 +40,18 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def assert_same_state(got: ColoringState, want: ColoringState) -> None:
+    """Every field a reader can see, plus the moves each state offers."""
+    assert got.graph is want.graph and np.array_equal(got.order, want.order)
+    assert got.t == want.t and got.colors_used == want.colors_used
+    assert np.array_equal(got.color_of, want.color_of)
+    assert got.color_members == want.color_members
+    assert got.neighbor_counts == want.neighbor_counts
+    if not want.is_terminal:
+        assert got.valid_actions() == want.valid_actions()
+        assert got.greedy_action() == want.greedy_action()
 
 
 @pytest.fixture

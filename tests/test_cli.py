@@ -90,6 +90,12 @@ class TestGen:
         assert not (tmp_path / "ignored").exists()
 
 
+    def test_non_numeric_param_fails_cleanly(self, tmp_path, capsys):
+        assert main(["gen", "--sources", "er:abc,0.5:seed=1", "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "abc" in err
+
+
 class TestColor:
     def test_heuristic_prints_count(self, k4_file, capsys):
         assert main(["color", "--graph", k4_file, "--heuristic", "ordered"]) == 0

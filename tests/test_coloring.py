@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import (
+    HEURISTIC_KINDS,
     ActionSet,
     ColoringState,
     Outcome,
@@ -17,10 +18,18 @@ from fastcolor.coloring import (
     greedy_color,
     outcome_vs_baseline,
 )
-from fastcolor.errors import ContractError, SizeError, StateError
+from fastcolor.errors import ContractError, ParameterError, SizeError, StateError
 from fastcolor.graph import Graph, gen_er
 
-from conftest import complete_graph, crown_graph, cycle_graph, path_graph, petersen_graph, star_graph
+from conftest import (
+    assert_same_state,
+    complete_graph,
+    crown_graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 
 
 class TestOutcome:
@@ -108,6 +117,66 @@ class TestActionsAndTransitions:
         assert state.colors_used == state.color_of.max() + 1
 
 
+def replay(g: Graph, order: np.ndarray, moves: list[int]) -> ColoringState:
+    state = ColoringState(g, order)
+    for a in moves:
+        state.apply_inplace(a)
+    return state
+
+
+def reference_counts(state: ColoringState, v: int) -> dict[int, int]:
+    """Colors of v's colored neighbors, counted from ``color_of``."""
+    cols = state.color_of[state.graph.neighbors_of(v)]
+    colors, counts = np.unique(cols[cols >= 0], return_counts=True)
+    return dict(zip(colors.tolist(), counts.tolist()))
+
+
+class TestUndo:
+    @given(st.integers(1, 14), st.floats(0.0, 0.9), st.integers(0, 999),
+           st.sampled_from(HEURISTIC_KINDS), st.sampled_from(["random", "new"]))
+    @settings(max_examples=60, deadline=None)
+    def test_apply_undo_matches_fresh_replay(self, n, p, seed, kind, policy):
+        # "new" opens a color every move, past max_degree + 1 colors on
+        # any graph with a vertex of degree below n - 2
+        g = gen_er(n, p, seed)
+        order = compute_order(g, kind)
+        rng = np.random.default_rng(seed)
+        state = ColoringState(g, order)
+        moves: list[int] = []
+        peak = 0
+        for _ in range(3 * n):
+            if moves and (state.is_terminal or rng.random() < 0.3):
+                state.undo()
+                moves.pop()
+            else:
+                acts = state.valid_actions().actions()
+                a = acts[-1] if policy == "new" else acts[rng.integers(len(acts))]
+                state.apply_inplace(a)
+                moves.append(a)
+            peak = max(peak, state.colors_used)
+            assert_same_state(state, replay(g, order, moves))
+            for v in order[state.t:].tolist():
+                assert state.neighbor_counts[v] == reference_counts(state, v)
+        if policy == "new" and n > g.max_degree + 2:
+            assert peak > g.max_degree + 2
+        while moves:
+            state.undo()
+            moves.pop()
+        assert_same_state(state, ColoringState(g, order))
+        assert state.color_members == [] and not any(state.neighbor_counts)
+
+    def test_undo_at_start_rejected(self, k4):
+        with pytest.raises(StateError):
+            ColoringState(k4).undo()
+
+    def test_clone_copies_counts(self, k4):
+        state = ColoringState(k4)
+        state.apply_inplace(0)
+        other = state.clone()
+        other.undo()
+        assert state.neighbor_counts[1] == {0: 1} and other.neighbor_counts[1] == {}
+
+
 class TestOrders:
     def test_unordered_is_identity(self, petersen):
         assert compute_order(petersen, "unordered").tolist() == list(range(10))
@@ -128,6 +197,15 @@ class TestOrders:
 
     def test_dynamic_ties_ascending_id(self, empty3):
         assert compute_order(empty3, "dynamic").tolist() == [0, 1, 2]
+
+    def test_computed_once_per_graph_and_read_only(self, petersen):
+        for kind in HEURISTIC_KINDS:
+            order = compute_order(petersen, kind)
+            assert compute_order(petersen, kind) is order
+            assert not order.flags.writeable
+        assert compute_order(petersen_graph(), "dynamic") is not compute_order(petersen, "dynamic")
+        with pytest.raises(ParameterError):
+            compute_order(petersen, "sideways")
 
 
 class TestGreedyHeuristics:

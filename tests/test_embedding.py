@@ -9,7 +9,6 @@ from fastcolor.embedding import (
     EmbeddingTable,
     compute_embeddings,
     degree_onehot_matrix,
-    encode_multihot,
     encode_onehot,
     init_transfer_params,
     onehot_vector,
@@ -64,21 +63,6 @@ class TestEncoders:
         vec = onehot_vector(5, 10, 32)
         assert vec.shape == (32,)
         assert vec.sum() == 1.0 and vec[16] == 1.0
-
-    def test_multihot_empty(self):
-        assert not encode_multihot([], 10, 32).any()
-
-    def test_multihot_extremes(self):
-        vec = encode_multihot({0, 7}, 7, 32)
-        assert vec[0] == 1.0 and vec[31] == 1.0 and vec.sum() == 2.0
-
-    def test_multihot_collision_is_lossy(self):
-        # 1*32//100 == 2*32//100 == 0: distinct values, one shared bit.
-        vec = encode_multihot({1, 2}, 100, 32)
-        assert vec.sum() == 1.0 and vec[0] == 1.0
-        # 3 and 4 straddle the bucket edge (96//100=0, 128//100=1).
-        vec = encode_multihot({3, 4}, 100, 32)
-        assert vec[0] == 1.0 and vec[1] == 1.0 and vec.sum() == 2.0
 
     def test_degree_matrix_regular_graph_clamps(self):
         g = cycle_graph(4)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import ColoringState, Outcome
 from fastcolor.config import Config
-from fastcolor.embedding import compute_embeddings
+from fastcolor.embedding import compute_embeddings, encode_onehot, onehot_vector
 from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import (
     MoveInput,
@@ -60,7 +60,71 @@ def setup_state(g, cfg, moves=(), seed=0, init_seed=None):
     return store, table, state
 
 
+def reference_graph_context(state, aset, cfg) -> np.ndarray:
+    """graph_context block by block: three one-hot vectors and the
+    multi-hot of the valid existing colors, concatenated."""
+    g = state.graph
+    bins = cfg.feature_bins
+    maxc = g.max_degree + 1
+    blocks = np.zeros((4, bins))
+    blocks[0, min(bins - 1, g.n.bit_length() - 1)] = 1.0
+    blocks[1] = onehot_vector(min(state.colors_used, maxc), maxc, bins)
+    blocks[2] = onehot_vector(state.t, g.n, bins)
+    for c in aset.existing:
+        blocks[3, encode_onehot(min(c, maxc), maxc, bins)] = 1.0
+    return blocks.ravel()
+
+
+def reference_contexts(state, table, cfg) -> dict:
+    """build_contexts one row at a time, from ``table.final``."""
+    g = state.graph
+    w, m, dim = cfg.window, cfg.color_set_size, cfg.embed_dim
+    rows = table.final
+    pc = np.zeros((2 * w, dim), dtype=rows.dtype)
+    pc_vertices = np.full(2 * w, -1, dtype=np.int64)
+    for i in range(2 * w):
+        src = state.t - w + i
+        if 0 <= src < g.n:
+            pc_vertices[i] = state.order[src]
+            pc[i] = rows[state.order[src]]
+    aset = state.valid_actions()
+    existing = list(aset.existing)[: cfg.candidate_cap - 1]
+    cand_sets = np.zeros((len(existing) + 1, m, dim), dtype=rows.dtype)
+    cand_vertices = np.full((len(existing) + 1, m), -1, dtype=np.int64)
+    for ci, color in enumerate(existing):
+        for si, v in enumerate(state.color_members[color][-m:][::-1]):
+            cand_sets[ci, si] = rows[v]
+            cand_vertices[ci, si] = v
+    return dict(pc=pc, pc_vertices=pc_vertices, cand_sets=cand_sets,
+                cand_vertices=cand_vertices,
+                gc=reference_graph_context(state, aset, cfg).astype(rows.dtype),
+                actions=existing + [aset.new_color],
+                capped=len(aset.existing) + 1 > cfg.candidate_cap)
+
+
 class TestContexts:
+    @given(st.integers(1, 16), st.floats(0.0, 0.9), st.integers(0, 999),
+           st.sampled_from(["float32", "float64"]), st.integers(1, 6), st.integers(1, 4),
+           st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_gathers_match_per_row_reference(self, n, p, seed, dtype, window, set_size, cap):
+        # every move of a random episode: the window pads past both ends
+        # of the order, and moves with more than cap - 1 reusable colors
+        # take the capped path
+        cfg = tiny_cfg(dtype=dtype, window=window, color_set_size=set_size, candidate_cap=cap)
+        store, table, state = setup_state(gen_er(n, p, seed), cfg, seed=seed)
+        assert table.final.dtype == np.dtype(dtype)
+        rng = np.random.default_rng(seed)
+        while not state.is_terminal:
+            mi = build_contexts(state, table, cfg)
+            want = reference_contexts(state, table, cfg)
+            for name in ("pc", "pc_vertices", "cand_sets", "cand_vertices", "gc"):
+                got = getattr(mi, name)
+                assert got.dtype == want[name].dtype and np.array_equal(got, want[name]), name
+            assert not np.shares_memory(mi.pc, table.padded)
+            assert mi.actions == want["actions"] and mi.capped == want["capped"]
+            state.apply_inplace(mi.actions[rng.integers(len(mi.actions))])
+
     def test_first_move(self):
         cfg = tiny_cfg()
         g = path_graph(6)
@@ -516,10 +580,10 @@ class TestFrozenInference:
             p_ref, _, _ = p_forward(store, cfg, [mi], training=False,
                                     pc_override=pc, cand_override=cands)
             p_ref = p_ref[0]
-            (got_p,), (got_v3,) = policy_value_forward(net, cfg, [mi])
+            (got_p,), (got_v3,) = policy_value_forward(net, [mi])
             assert np.abs(got_p - p_ref).max() <= tol
             assert np.abs(got_v3 - v3[0]).max() <= tol
-            assert np.array_equal(policy_forward(net, cfg, mi), got_p)
+            assert np.array_equal(policy_forward(net, mi), got_p)
             top = np.sort(p_ref)[::-1]
             if top.size == 1 or top[0] - top[1] > tol:
                 assert np.argmax(got_p) == np.argmax(p_ref)
@@ -536,19 +600,19 @@ class TestFrozenInference:
         randomize_inference_params(store, rng)
         moves = [random_move(cfg, k, rng) for k in sizes]
         net = freeze(store, cfg)
-        p_list, v3 = policy_value_forward(net, cfg, moves)
+        p_list, v3 = policy_value_forward(net, moves)
         assert len(p_list) == len(moves) and v3.shape == (len(moves), 3)
         # reference: the eval-mode training forward over the same batch
         p_ref, _, _ = p_forward(store, cfg, moves, training=False)
         v3_ref, _, _ = v_forward(store, cfg, moves, training=False)
         for b, mi in enumerate(moves):
-            (alone_p,), (alone_v3,) = policy_value_forward(net, cfg, [mi])
+            (alone_p,), (alone_v3,) = policy_value_forward(net, [mi])
             assert p_list[b].shape == (sizes[b],)
             assert np.abs(p_list[b] - alone_p).max() <= tol
             assert np.abs(v3[b] - alone_v3).max() <= tol
             assert np.abs(p_list[b] - p_ref[b]).max() <= tol
             assert np.abs(v3[b] - v3_ref[b]).max() <= tol
-            assert np.array_equal(policy_forward(net, cfg, mi), alone_p)
+            assert np.array_equal(policy_forward(net, mi), alone_p)
 
     def test_evaluate_batch_scores_each_state_with_its_evaluator(self):
         cfg = tiny_cfg()
@@ -575,7 +639,7 @@ class TestFrozenInference:
         store, table, state = setup_state(cycle_graph(7), cfg, moves=(0, 1))
         randomize_inference_params(store, make_rng(3))
         out = evaluate(store, cfg, state, table)
-        (p,), (v3,) = policy_value_forward(freeze(store, cfg), cfg,
+        (p,), (v3,) = policy_value_forward(freeze(store, cfg),
                                            [build_contexts(state, table, cfg)])
         assert np.array_equal(out.p, p) and np.array_equal(out.v3, v3)
         assert out.v == float(v3[0] - v3[2])
@@ -588,12 +652,12 @@ class TestFrozenInference:
         randomize_inference_params(store, make_rng(4))
         mi = batch[0].move
         net = freeze(store, cfg)
-        (p_before,), v3_before = policy_value_forward(net, cfg, [mi])
+        (p_before,), v3_before = policy_value_forward(net, [mi])
         adam = AdamState.for_store(store, lr=0.05)
         fcn_train_step(batch, store, cfg, adam, make_rng(0))
-        (p_after,), v3_after = policy_value_forward(net, cfg, [mi])
+        (p_after,), v3_after = policy_value_forward(net, [mi])
         assert np.array_equal(p_before, p_after) and np.array_equal(v3_before, v3_after)
-        assert not np.array_equal(policy_value_forward(freeze(store, cfg), cfg, [mi])[1],
+        assert not np.array_equal(policy_value_forward(freeze(store, cfg), [mi])[1],
                                   v3_before)
 
     def test_model_freezes_once_per_version(self):

@@ -52,6 +52,8 @@ class TestGraphStructure:
         g = gen_er(n, p, seed)
         g.validate()
         assert g.n == n
+        assert g.adjacency() == [g.neighbors_of(v).tolist() for v in range(n)]
+        assert g.adjacency() is g.adjacency()
 
 
 class TestGenerators:

@@ -9,7 +9,9 @@ from fastcolor.coloring import (
     greedy_color,
     outcome_vs_baseline,
 )
+from fastcolor.config import Config
 from fastcolor.errors import ContractError, ParameterError
+from fastcolor.fastcolornet import init_fastcolornet
 from fastcolor.graph import Graph, gen_er
 from fastcolor.mcts import (
     Node,
@@ -22,9 +24,11 @@ from fastcolor.mcts import (
     select_index,
     ucb_score,
 )
+from fastcolor.pipeline import Model, mcts_color
 from fastcolor.rng import make_rng
+from fastcolor.selfplay import bootstrap_oracle, play_segment
 
-from conftest import complete_graph, crown_graph
+from conftest import assert_same_state, complete_graph, crown_graph
 
 
 def greedy_cum(g: Graph) -> np.ndarray:
@@ -302,3 +306,52 @@ class TestAdvanceRoot:
                            t_end=4, baseline_cum=cum, root_noise=True, rng=make_rng(0))
         assert abs(noisy.root.prior.sum() - 1.0) < 1e-9
         assert not np.array_equal(plain.root.prior, noisy.root.prior)
+
+
+class TestSharedRootState:
+    """Simulations step the tree's own state and take their path back."""
+
+    @pytest.mark.parametrize("make_evaluator", [
+        lambda g, cum: UniformEvaluator(),
+        lambda g, cum: RolloutEvaluator(g.n, cum),
+    ], ids=["uniform", "rollout"])
+    def test_every_pass_restores_the_root_state(self, make_evaluator):
+        g = gen_er(12, 0.5, seed=6)
+        cum = greedy_cum(g)
+        tree = SearchTree(state=ColoringState(g), evaluator=make_evaluator(g, cum),
+                          t_end=g.n, baseline_cum=cum)
+        while not tree.state.is_terminal:
+            for _ in range(40):
+                before = tree.state.clone()
+                leaf = tree.descend()
+                evaluation = None
+                if leaf is not None:
+                    assert leaf is tree.state and leaf.t > before.t
+                    want = before.clone()
+                    for v in leaf.order[before.t:leaf.t].tolist():
+                        want.apply_inplace(int(leaf.color_of[v]))
+                    assert_same_state(leaf, want)
+                    evaluation = tree.evaluator.evaluate(leaf)
+                    assert_same_state(leaf, want)
+                tree.expand(evaluation)
+                assert_same_state(tree.state, before)
+            tree.advance_root(tree.root.actions[int(np.argmax(tree.root.visits))])
+
+    def test_search_never_clones(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ColoringState.clone called")
+
+        monkeypatch.setattr(ColoringState, "clone", refuse)
+        g = gen_er(12, 0.5, seed=7)
+        search(make_tree(g), 64)
+        cum = greedy_cum(g)
+        search(SearchTree(state=ColoringState(g), evaluator=UniformEvaluator(), t_end=g.n,
+                          baseline_cum=cum), 64)
+        cfg = Config(feature_bins=8, embed_dim=6, embed_hidden=10, embed_iterations=2,
+                     lstm_steps=1, window=2, color_set_size=2, v_width=16, v_layers=2,
+                     p_width=16, p_layers=2, seq_channels=8, seq_layers=2, seq_filter=3,
+                     dtype="float64", run_ahead=5, mcts_segment=3, simulations=16)
+        model = Model(init_fastcolornet(cfg))
+        assert mcts_color(g, cfg, model, simulations=16) >= brute_force_chromatic(g)
+        records, _ = play_segment(g, 2, cfg, model.evaluator(g, cfg), bootstrap_oracle(), seed=0)
+        assert len(records) == 3
