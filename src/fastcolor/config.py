@@ -103,6 +103,10 @@ class Config:
             raise ParameterError("run_ahead and mcts_segment must be >= 1")
         if not 0.0 <= self.move_sample_rate <= 1.0:
             raise ParameterError("move_sample_rate must be in [0, 1]")
+        if not 0.0 <= self.walk_rate <= 1.0:
+            raise ParameterError("walk_rate must be in [0, 1]")
+        if self.walk_length < 0 or self.walk_budget < 0:
+            raise ParameterError("walk_length and walk_budget must be >= 0")
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64")
         if self.seq_filter % 2 == 0:

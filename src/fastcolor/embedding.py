@@ -13,7 +13,7 @@ off-chain embedding is held constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
     "transfer_backward",
     "compute_embeddings",
     "sample_walk",
+    "walks_forward",
+    "walks_backward",
     "walk_value",
     "walk_backprop",
 ]
@@ -79,6 +81,13 @@ def degree_onehot_matrix(g: Graph, bins: int = 32, dtype=np.float32) -> np.ndarr
     return out
 
 
+def _neighbor_picks(seeds: np.ndarray, verts: np.ndarray, t: int, degs: np.ndarray) -> np.ndarray:
+    """Position of each vertex's sampled neighbor in its adjacency row:
+    the hash of (seed, v, t) modulo the degree (0 for isolated vertices)."""
+    h = mix64(seeds, verts, np.uint64(t))
+    return (h % np.maximum(degs, 1)).astype(np.int64)
+
+
 def sampled_neighbors_all(g: Graph, t: int, seed: int) -> np.ndarray:
     """Sampled neighbor of every vertex at iteration t; -1 for isolated.
 
@@ -87,10 +96,8 @@ def sampled_neighbors_all(g: Graph, t: int, seed: int) -> np.ndarray:
     """
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
-    degs = g.degrees.astype(np.uint64)
-    safe = np.maximum(degs, 1)
-    h = mix64(np.full(g.n, seed, dtype=np.uint64), np.arange(g.n, dtype=np.uint64), np.full(g.n, t, dtype=np.uint64))
-    idx = (np.asarray(h, dtype=np.uint64) % safe).astype(np.int64)
+    idx = _neighbor_picks(np.full(g.n, seed, dtype=np.uint64), np.arange(g.n, dtype=np.uint64),
+                          t, g.degrees.astype(np.uint64))
     # gather only rows with neighbors; an isolated row's offset can sit
     # at the end of the adjacency array
     present = g.degrees > 0
@@ -232,76 +239,115 @@ def sample_walk(g: Graph, cfg, vertex: int, length: int, seed: int) -> list[tupl
     return chain
 
 
-def _walk_forward(g: Graph, store: ParamStore, cfg, table: EmbeddingTable,
-                  chain: list[tuple[int, int, int | None]]):
-    """Recompute embeddings along the chain bottom-up with current params.
+def _chain_levels(walks, top: int, length: int):
+    """Every walk's reverse message chain, sampled level by level.
 
-    Off-chain inputs come from ``table`` (constants). Returns the top
-    embedding (for ``chain[0]``'s vertex) and per-element caches.
+    Level k holds iteration ``top - k`` of every chain still running:
+    (t, rows, verts, nbrs) with the walk indices in ascending order, the
+    chain vertex and its sampled neighbor (-1 when isolated, which ends
+    that chain). Each row's draw is ``sample_walk``'s.
     """
-    maximum = max(1, g.max_degree)
+    seeds = np.array([table.seed for _, table, _ in walks], dtype=np.uint64)
+    rows = np.arange(len(walks))
+    verts = np.array([v for _, _, v in walks], dtype=np.int64)
+    levels = []
+    for t in range(top, top - min(length, top), -1):
+        if rows.size == 0:
+            break
+        graphs = [walks[w][0] for w in rows.tolist()]
+        degs = np.array([g.degrees[v] for g, v in zip(graphs, verts.tolist())], dtype=np.uint64)
+        picks = _neighbor_picks(seeds[rows], verts.astype(np.uint64), t, degs)
+        nbrs = np.array([int(g.neighbors[g.offsets[v] + p]) if d else -1
+                         for g, v, p, d in zip(graphs, verts.tolist(), picks.tolist(),
+                                               degs.tolist())], dtype=np.int64)
+        levels.append((t, rows, verts, nbrs))
+        rows, verts = rows[nbrs >= 0], nbrs[nbrs >= 0]
+    return levels
 
-    def deg1hot(u: int) -> np.ndarray:
-        # the chain vertex's row of degree_onehot_matrix, without building it
-        return onehot_vector(g.degree(u), maximum, cfg.feature_bins, store.dtype)
 
-    caches = []
-    lower_mu: np.ndarray | None = None
-    for t, v, j in reversed(chain):
-        own_prev = table.tables[t - 1][v]
-        if j is None:
-            nbr_deg = np.zeros(cfg.feature_bins, dtype=store.dtype)
-            nbr_prev = np.zeros(cfg.embed_dim, dtype=store.dtype)
-        else:
-            nbr_deg = deg1hot(j)
-            nbr_prev = lower_mu if lower_mu is not None else table.tables[t - 1][j]
-        feats = np.concatenate([deg1hot(v), own_prev, nbr_deg, nbr_prev])[None, :]
+def walks_forward(store: ParamStore, cfg, walks: list[tuple[Graph, EmbeddingTable, int]],
+                  length: int):
+    """Live embeddings of many walks, recomputed with current params.
+
+    ``walks`` lists (graph, table, vertex); each chain is sampled with its
+    table's seed and truncated to ``length`` elements. Every chain starts
+    at iteration T, so level k of every chain sits at iteration T - k and
+    one ``transfer_forward`` per level, bottom-up, serves them all. A
+    level's neighbor rows come from the level below where that chain
+    continues, else from the table (constants); isolated neighbors give
+    zero blocks. Returns the live rows (W, D) and the tape
+    ``walks_backward`` needs; length 0 returns the cached rows.
+    """
+    dtype = store.dtype
+    bins, dim = cfg.feature_bins, cfg.embed_dim
+    levels = _chain_levels(walks, cfg.embed_iterations, length)
+    if not levels:
+        cached = np.array([table.tables[-1][v] for _, table, v in walks], dtype=dtype)
+        return cached.reshape(len(walks), dim), []
+    nbr_col = 2 * bins + dim
+    tape = []
+    below = None  # (rows, mu) of the level under the current one
+    for t, rows, verts, nbrs in reversed(levels):
+        feats = np.zeros((rows.size, nbr_col + dim), dtype=dtype)
+        for i, (w, v, j) in enumerate(zip(rows.tolist(), verts.tolist(), nbrs.tolist())):
+            g, table, _ = walks[w]
+            prev = table.tables[t - 1]
+            maximum = max(1, g.max_degree)
+            feats[i, encode_onehot(g.degree(v), maximum, bins)] = 1.0
+            feats[i, bins:bins + dim] = prev[v]
+            if j >= 0:
+                feats[i, bins + dim + encode_onehot(g.degree(j), maximum, bins)] = 1.0
+                feats[i, nbr_col:] = prev[j]
+        down = np.empty(0, dtype=np.int64)
+        if below is not None:
+            # rows whose chain continues read the fresh neighbor row
+            down = np.searchsorted(rows, below[0])
+            feats[down, nbr_col:] = below[1]
         mu, cache = transfer_forward(store, cfg, feats)
-        caches.append(cache)
-        lower_mu = mu[0]
-    return lower_mu, caches
+        tape.append((cache, down))
+        below = (rows, mu)
+    tape.reverse()
+    return below[1], tape
+
+
+def walks_backward(store: ParamStore, cfg, tape, upstream: np.ndarray) -> dict[str, np.ndarray]:
+    """Summed transfer-parameter gradients of ``walks_forward``'s walks.
+
+    ``upstream`` (W, D) is the loss gradient on the live rows. One
+    ``transfer_backward`` per level, top-down; only the neighbor-embedding
+    block of rows whose chain continues flows to the level below. Every
+    off-chain embedding is a constant, so the only parameter gradients
+    are those of the chains' own transfer applications.
+    """
+    grads = {name: np.zeros_like(store[name]) for name in
+             ("emb.in.w", "emb.in.b", "emb.cell.w", "emb.cell.b", "emb.out.w", "emb.out.b")}
+    d_mu = np.asarray(upstream, dtype=store.dtype)
+    nbr_col = 2 * cfg.feature_bins + cfg.embed_dim
+    for cache, down in tape:
+        dfeat, level_grads = transfer_backward(store, d_mu, cache)
+        for name, val in level_grads.items():
+            grads[name] += val
+        d_mu = dfeat[down, nbr_col:]
+    return grads
 
 
 def walk_value(g: Graph, store: ParamStore, cfg, table: EmbeddingTable,
                vertex: int, length: int | None, seed: int) -> np.ndarray:
     """Embedding of ``vertex`` recomputed through its walk with current
     params; equals the cached row when params match the table's. Length 0
-    returns the cached row itself."""
+    returns the cached row itself. The one-walk case of ``walks_forward``."""
     if length is None:
         length = cfg.embed_iterations
-    chain = sample_walk(g, cfg, vertex, length, seed)
-    if not chain:
-        return np.array(table.tables[-1][vertex], copy=True)
-    mu, _ = _walk_forward(g, store, cfg, table, chain)
-    return mu
+    live, _ = walks_forward(store, cfg, [(g, replace(table, seed=seed), vertex)], length)
+    return live[0]
 
 
 def walk_backprop(g: Graph, store: ParamStore, cfg, table: EmbeddingTable,
                   vertex: int, upstream: np.ndarray, length: int | None, seed: int) -> dict[str, np.ndarray]:
-    """Transfer-parameter gradients from a loss gradient on one embedding.
-
-    Recomputes the sampled chain (length capped at T) and backpropagates
-    ``upstream`` through it; every off-chain embedding is a constant, so
-    the only parameter gradients produced are those of the chain's own
-    transfer applications. Empty chains (length 0) give zero gradients.
-    """
+    """Transfer-parameter gradients from a loss gradient on one embedding;
+    the one-walk case of ``walks_forward``/``walks_backward``. Empty
+    chains (length 0) give zero gradients."""
     if length is None:
         length = cfg.embed_iterations
-    chain = sample_walk(g, cfg, vertex, length, seed)
-    grads = {name: np.zeros_like(store[name]) for name in
-             ("emb.in.w", "emb.in.b", "emb.cell.w", "emb.cell.b", "emb.out.w", "emb.out.b")}
-    if not chain:
-        return grads
-    _, caches = _walk_forward(g, store, cfg, table, chain)
-    d_mu = np.asarray(upstream, dtype=store.dtype)[None, :]
-    bins, dim = cfg.feature_bins, cfg.embed_dim
-    # caches are bottom-up; walk gradient flows top-down.
-    for cache, (t, v, j) in zip(reversed(caches), chain):
-        dfeat, step_grads = transfer_backward(store, d_mu, cache)
-        for name, val in step_grads.items():
-            grads[name] += val
-        if j is None:
-            break
-        # Only the neighbor-embedding block continues down the chain.
-        d_mu = dfeat[:, bins + dim + bins:]
-    return grads
+    _, tape = walks_forward(store, cfg, [(g, replace(table, seed=seed), vertex)], length)
+    return walks_backward(store, cfg, tape, np.asarray(upstream)[None, :])

@@ -25,8 +25,8 @@ from .embedding import (
     EmbeddingTable,
     encode_onehot,
     init_transfer_params,
-    walk_backprop,
-    walk_value,
+    walks_backward,
+    walks_forward,
 )
 from .errors import ContractError, ParameterError
 from .graph import Graph
@@ -518,18 +518,19 @@ def forward_backward(moves: list[MoveInput], pis, zs, store: ParamStore, cfg,
     position, vertex). Live rows are recomputed from the current transfer
     parameters through their sampled chains before the forward pass, and
     the loss gradient on them is pushed back through the same chains, so
-    the returned gradients cover the embedding parameters too.
+    the returned gradients cover the embedding parameters too. All walks
+    share one batched transfer pass per chain level, each way.
     """
     pc = np.stack([mi.pc for mi in moves]).astype(np.float64)
     cands = [mi.cand_sets.astype(np.float64) for mi in moves]
-    for b, kind, pos, vertex in walks:
-        mi = moves[b]
-        live = walk_value(mi.graph, store, cfg, mi.table, vertex,
-                          cfg.walk_length, mi.table.seed)
-        if kind == "pc":
-            pc[b, pos] = live
-        else:
-            cands[b][pos] = live
+    if walks:
+        live, tape = walks_forward(store, cfg, [(moves[b].graph, moves[b].table, vertex)
+                                                for b, _, _, vertex in walks], cfg.walk_length)
+        for (b, kind, pos, _), row in zip(walks, live):
+            if kind == "pc":
+                pc[b, pos] = row
+            else:
+                cands[b][pos] = row
 
     v3, v_logits, v_cache = v_forward(store, cfg, moves, training, pc_override=pc)
     p_list, p_logits, p_cache = p_forward(store, cfg, moves, training,
@@ -548,12 +549,10 @@ def forward_backward(moves: list[MoveInput], pis, zs, store: ParamStore, cfg,
     d_pc_p, d_cands = p_backward(store, dp_logits, p_cache, grads)
     d_pc = d_pc + d_pc_p
 
-    for b, kind, pos, vertex in walks:
-        mi = moves[b]
-        upstream = d_pc[b, pos] if kind == "pc" else d_cands[b][pos]
-        wgrads = walk_backprop(mi.graph, store, cfg, mi.table, vertex,
-                               upstream, cfg.walk_length, mi.table.seed)
-        for name, val in wgrads.items():
+    if walks:
+        upstream = np.stack([d_pc[b, pos] if kind == "pc" else d_cands[b][pos]
+                             for b, kind, pos, _ in walks])
+        for name, val in walks_backward(store, cfg, tape, upstream).items():
             _acc(grads, name, val)
 
     return loss, grads, {"clamps": clamps, "walks": len(walks)}
@@ -589,7 +588,7 @@ def fcn_train_step(batch: list[TrainMove], store: ParamStore, cfg,
     walks = draw_walks(moves, cfg, rng)
     loss, grads, stats = forward_backward(moves, pis, zs, store, cfg, walks,
                                           training=True)
-    full = {name: grads.get(name, np.zeros_like(store[name]))
+    full = {name: grads[name] if name in grads else np.zeros_like(store[name])
             for name in store.trainable_names()}
     adam_step(store, full, adam)
     stats["capped_moves"] = sum(1 for mi in moves if mi.capped)

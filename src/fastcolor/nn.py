@@ -351,18 +351,35 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for name in store.trainable_names():
-        g = grads[name].astype(np.float64)
+    # two scratch buffers serve every parameter; the in-place steps keep
+    # the operation order of the textbook expressions, so results are
+    # bit-identical to them
+    names = store.trainable_names()
+    size = max((store[name].size for name in names), default=0)
+    tmp_buf, den_buf = np.empty(size), np.empty(size)
+    for name in names:
+        g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != store[name].shape:
             raise ContractError(f"gradient shape mismatch for {name!r}")
         m = state.m[name]
         v = state.v[name]
+        tmp = tmp_buf[:g.size].reshape(g.shape)
+        den = den_buf[:g.size].reshape(g.shape)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=tmp)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (state.lr / bc1) * m / (np.sqrt(v / bc2) + state.eps)
-        store[name] = store[name] - update.astype(store.dtype)
+        np.multiply(g, 1.0 - state.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.multiply(m, state.lr / bc1, out=tmp)
+        tmp /= den
+        # a new array, not an in-place write: frozen snapshots share the
+        # store's arrays
+        fresh = tmp.astype(store.dtype)
+        store[name] = np.subtract(store[name], fresh, out=fresh)
 
 
 # ---------------------------------------------------------- grad checker

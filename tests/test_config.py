@@ -65,6 +65,13 @@ def test_validation():
         Config(seq_filter=4)
     with pytest.raises(ParameterError):
         Config(order_kind="reverse")
+    for bad in (dict(walk_rate=1.7), dict(walk_rate=-0.1), dict(walk_length=-2),
+                dict(walk_budget=-3)):
+        with pytest.raises(ParameterError):
+            Config(**bad)
+    for edge in (dict(walk_rate=0.0), dict(walk_rate=1.0), dict(walk_length=0),
+                 dict(walk_budget=0)):
+        Config(**edge)
 
 
 def test_expand_sources_range():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastcolor import embedding
 from fastcolor.config import Config
@@ -15,12 +16,15 @@ from fastcolor.embedding import (
     sample_walk,
     sampled_neighbor,
     sampled_neighbors_all,
+    transfer_backward,
     transfer_forward,
     walk_backprop,
     walk_value,
+    walks_backward,
+    walks_forward,
 )
 from fastcolor.errors import ContractError
-from fastcolor.graph import Graph, gen_ws
+from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.nn import ParamStore, finite_diff_check
 from fastcolor.rng import make_rng
 
@@ -301,3 +305,86 @@ class TestWalks:
         a = walk_backprop(g, store, cfg, table, 0, up, None, seed=1)
         b = walk_backprop(g, store, cfg, table, 0, up, None, seed=1)
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+TRANSFER_NAMES = ("emb.in.w", "emb.in.b", "emb.cell.w", "emb.cell.b", "emb.out.w", "emb.out.b")
+
+
+def per_walk_reference(g, store, cfg, table, vertex, length, upstream):
+    """One walk on its own: its ``sample_walk`` chain, one
+    ``transfer_forward`` per element bottom-up, then one
+    ``transfer_backward`` per element top-down. Returns the live row and
+    the walk's transfer-parameter gradients."""
+    chain = sample_walk(g, cfg, vertex, length, table.seed)
+    grads = {name: np.zeros_like(store[name]) for name in TRANSFER_NAMES}
+    if not chain:
+        return table.tables[-1][vertex].copy(), grads
+    bins, dim = cfg.feature_bins, cfg.embed_dim
+    maximum = max(1, g.max_degree)
+
+    def deg1hot(u):
+        return onehot_vector(g.degree(u), maximum, bins, store.dtype)
+
+    caches, lower = [], None
+    for t, v, j in reversed(chain):
+        if j is None:
+            nbr_deg, nbr_prev = np.zeros(bins, store.dtype), np.zeros(dim, store.dtype)
+        else:
+            nbr_deg = deg1hot(j)
+            nbr_prev = lower if lower is not None else table.tables[t - 1][j]
+        feats = np.concatenate([deg1hot(v), table.tables[t - 1][v], nbr_deg, nbr_prev])
+        mu, cache = transfer_forward(store, cfg, feats[None, :])
+        caches.append(cache)
+        lower = mu[0]
+    d_mu = np.asarray(upstream, dtype=store.dtype)[None, :]
+    for cache, (_, _, j) in zip(reversed(caches), chain):
+        dfeat, step = transfer_backward(store, d_mu, cache)
+        for name, val in step.items():
+            grads[name] += val
+        if j is None:
+            break
+        d_mu = dfeat[:, 2 * bins + dim:]
+    return lower, grads
+
+
+def with_isolated_vertex(g: Graph) -> Graph:
+    edges = [(u, int(w)) for u in range(g.n) for w in g.neighbors_of(u) if u < w]
+    return Graph.from_edges(g.n + 1, edges)
+
+
+class TestBatchedWalks:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), iterations=st.integers(1, 3),
+           dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**16))
+    def test_matches_per_walk_reference(self, data, iterations, dtype, seed):
+        cfg = small_cfg(embed_iterations=iterations)
+        store = make_store(cfg, seed=seed % 7, dtype=dtype)
+        sizes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        graphs = [with_isolated_vertex(gen_er(n, data.draw(st.floats(0.0, 0.6)), seed + i))
+                  for i, n in enumerate(sizes)]
+        # tables from other parameters, as training reads a frozen
+        # incumbent's, so a chain's fresh rows differ from the cached ones
+        frozen = make_store(cfg, seed=seed % 7 + 1, dtype=dtype)
+        tables = [compute_embeddings(g, frozen, cfg, seed=seed + 10 * i)
+                  for i, g in enumerate(graphs)]
+        picks = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+        walks = [(graphs[p % len(graphs)], tables[p % len(graphs)],
+                  (p // len(graphs)) % graphs[p % len(graphs)].n) for p in picks]
+        walks.append(walks[0])  # the same vertex twice counts twice
+        length = data.draw(st.integers(0, iterations + 1))
+        upstream = make_rng(seed).normal(size=(len(walks), cfg.embed_dim))
+
+        live, tape = walks_forward(store, cfg, walks, length)
+        grads = walks_backward(store, cfg, tape, upstream)
+        want_grads = {name: np.zeros_like(store[name]) for name in TRANSFER_NAMES}
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        assert live.shape == (len(walks), cfg.embed_dim) and live.dtype == dtype
+        for row, (g, table, v), up in zip(live, walks, upstream):
+            want, walk_grads = per_walk_reference(g, store, cfg, table, v, length, up)
+            assert np.abs(row - want).max() <= tol * max(1.0, np.abs(want).max())
+            for name in TRANSFER_NAMES:
+                want_grads[name] += walk_grads[name]
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name].dtype == dtype
+            assert np.abs(grads[name] - want).max() <= tol * max(1.0, np.abs(want).max()), name

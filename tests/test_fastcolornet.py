@@ -32,7 +32,7 @@ from fastcolor.fastcolornet import (
     v_forward,
 )
 import fastcolor
-from fastcolor import nn
+from fastcolor import embedding, nn
 from fastcolor.graph import Graph, gen_er
 from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
 from fastcolor.nn import AdamState, ParamStore, finite_diff_check
@@ -449,6 +449,27 @@ class TestGradients:
         assert grads["emb.in.w"].any() and grads["emb.cell.w"].any()
         _, grads_nw, _ = forward_backward(moves, pis, zs, store, cfg, [], training=False)
         assert "emb.in.w" not in grads_nw
+
+    def test_walks_run_one_transfer_pass_per_chain_level(self, monkeypatch):
+        cfg = tiny_cfg(walk_rate=1.0, walk_budget=1000, embed_iterations=3, walk_length=3)
+        g, store, table, batch = _training_batch(cfg)
+        moves = [tm.move for tm in batch]
+        pis = [tm.pi for tm in batch]
+        zs = [tm.z for tm in batch]
+        calls = {"transfer_forward": 0, "transfer_backward": 0}
+        for key in calls:
+            def spy(*args, _key=key, _fn=getattr(embedding, key)):
+                calls[_key] += 1
+                return _fn(*args)
+            monkeypatch.setattr(embedding, key, spy)
+        _, grads, _ = forward_backward(moves, pis, zs, store, cfg, [], training=True)
+        assert calls == {"transfer_forward": 0, "transfer_backward": 0}
+        assert not any(name.startswith("emb.") for name in grads)
+        walks = draw_walks(moves, cfg, make_rng(4))
+        assert len(walks) > cfg.walk_length
+        forward_backward(moves, pis, zs, store, cfg, walks, training=True)
+        assert 1 <= calls["transfer_forward"] <= cfg.walk_length
+        assert 1 <= calls["transfer_backward"] <= cfg.walk_length
 
     def test_training_mode_finite_difference(self):
         # batch statistics in every batchnorm, and moves of different

@@ -295,6 +295,42 @@ class TestAdam:
         npt.assert_allclose(store["bn._running_mean"], 0.0)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_adam_bit_for_bit(self, dtype):
+        def reference_step(params, grads, m, v, step, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+            bc1 = 1.0 - b1 ** step
+            bc2 = 1.0 - b2 ** step
+            for name in params:
+                g = grads[name].astype(np.float64)
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                update = (lr / bc1) * m[name] / (np.sqrt(v[name] / bc2) + eps)
+                params[name] = params[name] - update.astype(dtype)
+
+        rng = np.random.default_rng(3)
+        store = ParamStore(dtype=dtype)
+        for name, shape in (("a.w", (5, 7)), ("a.b", (7,)), ("c.k", (3, 2, 4)), ("s", ())):
+            store.add(name, rng.normal(size=shape))
+        store.add("bn._running_var", np.ones(3))
+        state = AdamState.for_store(store, lr=0.01)
+        params = {n: store[n].copy() for n in store.trainable_names()}
+        m = {n: np.zeros(store[n].shape) for n in params}
+        v = {n: np.zeros(store[n].shape) for n in params}
+        for step in range(1, 6):
+            # float32 and float64 gradients, one of them a strided view
+            grads = {n: rng.normal(size=params[n].shape).astype(
+                np.float32 if (step + len(n)) % 2 else np.float64) for n in params}
+            grads["a.w"] = rng.normal(size=(7, 5)).T
+            before = {n: store[n] for n in params}
+            adam_step(store, grads, state)
+            reference_step(params, grads, m, v, step)
+            for n in params:
+                assert store[n] is not before[n], n
+                assert store[n].dtype == dtype
+                assert np.array_equal(store[n], params[n]), n
+                assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n]), n
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = f64_store()
