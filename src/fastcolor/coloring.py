@@ -90,14 +90,16 @@ class ColoringState:
 
     The next vertex to color is ``order[t]``. ``color_of`` holds -1 for
     uncolored vertices. ``color_members[c]`` lists the vertices of color
-    c in the order they were colored (newest last). For every uncolored
-    vertex v, ``neighbor_counts[v]`` maps each color to how many colored
-    neighbors of v use it (colors with none are absent), so stepping and
-    undoing a move cost O(deg).
+    c in the order they were colored (newest last). ``_colors`` mirrors
+    ``color_of`` as a plain list and ``_order`` mirrors ``order``, so the
+    per-move loops read no NumPy scalars. ``_earlier[v]`` lists the
+    neighbors of v that come before it in the order: they are all colored
+    when v is current, so the colors v may not take are read from them on
+    demand, and stepping or undoing a move touches no neighbor.
     """
 
     __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members",
-                 "neighbor_counts", "_later")
+                 "_colors", "_order", "_earlier", "_padded")
 
     def __init__(self, graph: Graph, order: np.ndarray | None = None):
         self.graph = graph
@@ -112,15 +114,14 @@ class ColoringState:
         self.color_of = np.full(graph.n, -1, dtype=np.int32)
         self.colors_used = 0
         self.color_members: list[list[int]] = []
-        self.neighbor_counts: list[dict[int, int]] = [{} for _ in range(graph.n)]
-        # A move updates the counts of the neighbors after it in the order
-        # only: a colored vertex's counts are not read again until undo
-        # uncolors it, and by then every later move is undone too.
+        self._colors = [-1] * graph.n
+        self._order = order.tolist()
         pos = [0] * graph.n
-        for i, v in enumerate(order.tolist()):
+        for i, v in enumerate(self._order):
             pos[v] = i
         adjacency = graph.adjacency()
-        self._later = [[u for u in adjacency[v] if pos[u] > pos[v]] for v in range(graph.n)]
+        self._earlier = [[u for u in adjacency[v] if pos[u] < pos[v]] for v in range(graph.n)]
+        self._padded: np.ndarray | None = None
 
     def clone(self) -> "ColoringState":
         other = ColoringState.__new__(ColoringState)
@@ -130,8 +131,10 @@ class ColoringState:
         other.color_of = self.color_of.copy()
         other.colors_used = self.colors_used
         other.color_members = [m.copy() for m in self.color_members]
-        other.neighbor_counts = [c.copy() for c in self.neighbor_counts]
-        other._later = self._later
+        other._colors = self._colors.copy()
+        other._order = self._order
+        other._earlier = self._earlier
+        other._padded = self._padded
         return other
 
     @property
@@ -139,61 +142,72 @@ class ColoringState:
         return self.t >= self.graph.n
 
     def current_vertex(self) -> int:
-        if self.is_terminal:
+        if self.t >= self.graph.n:
             raise StateError("all vertices are colored")
-        return int(self.order[self.t])
+        return self._order[self.t]
+
+    def _blocked(self, v: int) -> set[int]:
+        colors = self._colors
+        return {colors[u] for u in self._earlier[v]}
 
     def valid_actions(self) -> ActionSet:
-        blocked = self.neighbor_counts[self.current_vertex()]
+        blocked = self._blocked(self.current_vertex())
         existing = tuple(c for c in range(self.colors_used) if c not in blocked)
         return ActionSet(existing=existing, new_color=self.colors_used)
 
     def apply_inplace(self, action: int) -> None:
         """Color the current vertex. ``action`` must come from valid_actions."""
         v = self.current_vertex()
+        colors = self._colors
         if action == self.colors_used:
             self.colors_used += 1
             self.color_members.append([])
         elif not (0 <= action < self.colors_used):
             raise ContractError(f"action {action} out of range at t={self.t}")
-        elif action in self.neighbor_counts[v]:
-            raise ContractError(f"color {action} conflicts at vertex {v}")
+        else:
+            for u in self._earlier[v]:
+                if colors[u] == action:
+                    raise ContractError(f"color {action} conflicts at vertex {v}")
         self.color_of[v] = action
+        colors[v] = action
         self.color_members[action].append(v)
         self.t += 1
-        counts = self.neighbor_counts
-        for u in self._later[v]:
-            row = counts[u]
-            row[action] = row.get(action, 0) + 1
 
     def undo(self) -> None:
         """Take back the last move, restoring the state before it."""
         if self.t == 0:
             raise StateError("no move to undo")
         self.t -= 1
-        v = int(self.order[self.t])
-        color = int(self.color_of[v])
+        v = self._order[self.t]
+        color = self._colors[v]
+        self._colors[v] = -1
         self.color_of[v] = -1
         members = self.color_members[color]
         members.pop()
         if not members:  # this move opened the color, the newest one
             self.color_members.pop()
             self.colors_used -= 1
-        counts = self.neighbor_counts
-        for u in self._later[v]:
-            row = counts[u]
-            if row[color] == 1:
-                del row[color]
-            else:
-                row[color] -= 1
 
     def greedy_action(self) -> int:
         """Smallest valid color id; opens a new color only when forced."""
-        blocked = self.neighbor_counts[self.current_vertex()]
+        blocked = self._blocked(self.current_vertex())
         for c in range(self.colors_used):
             if c not in blocked:
                 return c
         return self.colors_used
+
+    def order_window(self, w: int) -> np.ndarray:
+        """order[t-w .. t+w) as a read-only int64 view, -1 past either end
+        of the order; the padded order behind it is built once per w and
+        shared with clones."""
+        n = self.graph.n
+        padded = self._padded
+        if padded is None or padded.size != n + 2 * w:
+            padded = np.full(n + 2 * w, -1, dtype=np.int64)
+            padded[w:w + n] = self.order
+            padded.flags.writeable = False
+            self._padded = padded
+        return padded[self.t:self.t + 2 * w]
 
 
 def compute_order(g: Graph, kind: str) -> np.ndarray:

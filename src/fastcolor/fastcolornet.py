@@ -124,8 +124,8 @@ def graph_context(state: ColoringState, aset: ActionSet, cfg, dtype=np.float64) 
     gc[min(bins - 1, g.n.bit_length() - 1)] = 1.0
     gc[bins + encode_onehot(min(state.colors_used, maxc), maxc, bins)] = 1.0
     gc[2 * bins + encode_onehot(state.t, g.n, bins)] = 1.0
-    for c in aset.existing:
-        gc[3 * bins + encode_onehot(min(c, maxc), maxc, bins)] = 1.0
+    for c in aset.existing:  # encode_onehot(min(c, maxc), maxc, bins), inlined
+        gc[3 * bins + min(c * bins // maxc, bins - 1)] = 1.0
     return gc
 
 
@@ -135,14 +135,11 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     if table.tables.shape[1] != g.n:
         raise ContractError(
             f"embedding table covers {table.tables.shape[1]} vertices, graph has {g.n}")
-    w, m = cfg.window, cfg.color_set_size
+    m = cfg.color_set_size
     rows = table.padded
     t = state.t
 
-    # order[t-w .. t+w), -1 past either end of the order
-    lo, hi = max(t - w, 0), min(t + w, g.n)
-    pc_vertices = np.full(2 * w, -1, dtype=np.int64)
-    pc_vertices[lo - t + w:hi - t + w] = state.order[lo:hi]
+    pc_vertices = state.order_window(cfg.window)
     pc = rows[pc_vertices]
 
     aset = state.valid_actions()
@@ -435,39 +432,48 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
     return x
 
 
-def _policy_probs(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]:
+def _policy_probs(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
+                  gc: np.ndarray) -> list[np.ndarray]:
     # candidate rows of all moves, concatenated; p.seq convolves each
-    # move's rows as one zero-padded sequence, as p_forward does
-    sizes = np.array([mi.cand_sets.shape[0] for mi in moves])
-    pooled = np.stack([mi.pc for mi in moves]).mean(axis=1)
-    head = np.concatenate([np.stack([mi.gc for mi in moves]), pooled], axis=1)
+    # move's rows as one zero-padded sequence, as p_forward does.
+    # ``pc`` (B, 2w, D) and ``gc`` (B, G) are the moves' contexts, stacked.
+    sizes = [mi.cand_sets.shape[0] for mi in moves]
+    head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
     x = np.concatenate([np.repeat(head, sizes, axis=0),
-                        np.concatenate([mi.cand_sets.reshape(mi.cand_sets.shape[0], -1)
-                                        for mi in moves])], axis=1)
+                        np.concatenate([mi.cand_sets.reshape(k, -1)
+                                        for mi, k in zip(moves, sizes)])], axis=1)
     feats = _folded_stack(x, net.p_fc, dense_forward)
-    grid = np.arange(sizes.max()) < sizes[:, None]
+    grid = np.arange(max(sizes)) < np.array(sizes)[:, None]
     feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
                           grid[..., None])[grid]
     scores, _ = dense_forward(feats, *net.p_head)
-    # float64 normalization: equal logits give exactly uniform priors
+    # float64 normalization, so equal logits give exactly uniform priors:
+    # each move's softmax, bit for bit. The sums run move by move because
+    # np.add.reduceat adds in another order than softmax's e.sum().
     logits = scores[:, 0].astype(np.float64)
-    return [softmax(lg) for lg in np.split(logits, np.cumsum(sizes)[:-1])]
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
+    p = e / np.repeat([e[a:b].sum() for a, b in zip(starts, ends)], sizes)
+    return [p[a:b] for a, b in zip(starts, ends)]
 
 
 def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    return _policy_probs(net, [mi])[0]
+    return _policy_probs(net, [mi], mi.pc[None], mi.gc[None])[0]
 
 
 def policy_value_forward(net: InferenceNet,
                          moves: list[MoveInput]) -> tuple[list[np.ndarray], np.ndarray]:
     """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
     and v_forward compute with training=False."""
-    seq = _folded_stack(np.stack([mi.pc for mi in moves]), net.v_seq, conv1d_forward)
-    h = np.concatenate([np.stack([mi.gc for mi in moves]), seq.mean(axis=1)], axis=1)
+    pc = np.stack([mi.pc for mi in moves])
+    gc = np.stack([mi.gc for mi in moves])
+    seq = _folded_stack(pc, net.v_seq, conv1d_forward)
+    h = np.concatenate([gc, seq.mean(axis=1)], axis=1)
     logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
-    return _policy_probs(net, moves), softmax(logits.astype(np.float64))
+    return _policy_probs(net, moves, pc, gc), softmax(logits.astype(np.float64))
 
 
 def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],

@@ -15,6 +15,7 @@ in one batch (``evaluate_batch``) without changing any tree's search.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,53 +39,62 @@ __all__ = [
 ]
 
 
-def _row(i: int, doc: str) -> property:
-    return property(lambda self: self.stats[i],
-                    lambda self, v: self.stats.__setitem__(i, v), doc=doc)
+def _block(i: int, doc: str) -> property:
+    def view(self) -> np.ndarray:
+        k = len(self.stats) >> 2
+        return np.frombuffer(self.stats)[i * k:(i + 1) * k]
+
+    def assign(self, values) -> None:
+        view(self)[:] = values
+
+    return property(view, assign, doc=doc)
+
+
+_NO_STATS = array("d")  # shared by every terminal node; it has no actions
 
 
 class Node:
     """Per-action statistics of one expanded state.
 
-    One (4, K) float array holds, per action, the prior, the visit count,
-    the running-mean value and the action id; ``prior``, ``visits`` and
-    ``value`` are writable views of its rows. Most nodes of a tree are
-    leaves, so the child list is allocated when the first child is
-    attached.
+    One flat ``array('d')`` of 4K doubles holds, for K actions, the K
+    priors, the K visit counts, the K running-mean values and the K action
+    ids, in that order. Search reads and writes it as plain floats;
+    ``prior``, ``visits`` and ``value`` are writable NumPy views of its
+    blocks. Most nodes of a tree are leaves, so the child list is
+    allocated when the first child is attached.
     """
 
     __slots__ = ("stats", "_children", "terminal_value")
 
-    prior = _row(0, "P(s, a)")
-    visits = _row(1, "N(s, a)")
-    value = _row(2, "Q(s, a), running mean of backed-up values")
+    prior = _block(0, "P(s, a)")
+    visits = _block(1, "N(s, a)")
+    value = _block(2, "Q(s, a), running mean of backed-up values")
 
-    def __init__(self, stats: np.ndarray, terminal_value: float | None = None):
+    def __init__(self, stats: array, terminal_value: float | None = None):
         self.stats = stats
         self._children: list["Node | None"] | None = None
         self.terminal_value = terminal_value  # set at window-end states
 
     @staticmethod
     def expanded(actions: list[int], prior: np.ndarray) -> "Node":
-        stats = np.zeros((4, len(actions)))
-        stats[0] = prior
-        stats[3] = actions
-        return Node(stats)
+        prior = np.asarray(prior, dtype=np.float64).tolist()
+        return Node(array("d", prior + [0.0] * (2 * len(actions)) + actions))
 
     @staticmethod
     def terminal(v: float) -> "Node":
-        return Node(np.zeros((4, 0)), terminal_value=v)
+        return Node(_NO_STATS, terminal_value=v)
 
     @property
     def actions(self) -> list[int]:
-        return self.stats[3].astype(np.int64).tolist()
+        stats = self.stats
+        return [int(a) for a in stats[3 * (len(stats) >> 2):]]
 
     def child(self, i: int) -> "Node | None":
         return None if self._children is None else self._children[i]
 
     def attach(self, i: int, child: "Node") -> None:
         if self._children is None:
-            self._children = [None] * self.stats.shape[1]
+            self._children = [None] * (len(self.stats) >> 2)
         self._children[i] = child
 
 
@@ -98,14 +108,16 @@ def ucb_score(node: Node, index: int, c: float) -> float:
 def select_index(node: Node, c: float) -> int:
     """Argmax of the UCB score; ties go to the higher prior, then the
     lower action index."""
-    # plain floats: at a handful of actions this beats array arithmetic
-    prior, visits, value, _ = node.stats.tolist()
-    root = math.sqrt(sum(visits))
-    best, best_score = 0, None
-    for i, p in enumerate(prior):
-        score = value[i] + c * p * root / (1.0 + visits[i])
-        if best_score is None or score > best_score or (
-                score == best_score and p > prior[best]):
+    s = node.stats
+    k = len(s) >> 2
+    if k == 1:
+        return 0
+    root = math.sqrt(sum(s[k:2 * k]))
+    best, best_score = 0, s[2 * k] + c * s[0] * root / (1.0 + s[k])
+    for i in range(1, k):
+        p = s[i]
+        score = s[2 * k + i] + c * p * root / (1.0 + s[k + i])
+        if score > best_score or (score == best_score and p > s[best]):
             best, best_score = i, score
     return best
 
@@ -113,10 +125,11 @@ def select_index(node: Node, c: float) -> int:
 def backup(path: list[tuple[Node, int]], v: float) -> None:
     """Mean-value update along every edge of the path; no sign flip."""
     for node, i in path:
-        stats = node.stats
-        n = stats[1, i]
-        stats[2, i] = (stats[2, i] * n + v) / (n + 1)
-        stats[1, i] = n + 1
+        s = node.stats
+        k = len(s) >> 2
+        n = s[k + i]
+        s[2 * k + i] = (s[2 * k + i] * n + v) / (n + 1)
+        s[k + i] = n + 1
 
 
 def pi_from_counts(counts: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -280,11 +293,13 @@ class SearchTree:
         """
         node = self.root
         state = self.state
+        c = self.c
         path: list[tuple[Node, int]] = []
         while node.terminal_value is None:
-            i = select_index(node, self.c)
+            i = select_index(node, c)
             path.append((node, i))
-            state.apply_inplace(int(node.stats[3, i]))
+            stats = node.stats
+            state.apply_inplace(int(stats[3 * (len(stats) >> 2) + i]))
             child = node.child(i)
             if child is None:
                 if not self._window_end(state):

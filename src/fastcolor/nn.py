@@ -46,6 +46,10 @@ __all__ = [
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+# Elements per Adam block: two float64 scratch blocks of this size stay in
+# L2, so each parameter streams through memory once instead of once per
+# NumPy operation.
+ADAM_BLOCK = 16384
 
 
 class ParamStore:
@@ -351,35 +355,41 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], state: AdamState)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    # two scratch buffers serve every parameter; the in-place steps keep
-    # the operation order of the textbook expressions, so results are
-    # bit-identical to them
-    names = store.trainable_names()
-    size = max((store[name].size for name in names), default=0)
-    tmp_buf, den_buf = np.empty(size), np.empty(size)
-    for name in names:
-        g = np.asarray(grads[name], dtype=np.float64)
+    # Each parameter streams through two cache-sized scratch blocks; the
+    # in-place steps keep the operation order of the textbook expressions,
+    # so results are bit-identical to them.
+    tmp_buf, den_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for name in store.trainable_names():
+        g = np.asarray(grads[name])
         if g.shape != store[name].shape:
             raise ContractError(f"gradient shape mismatch for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        tmp = tmp_buf[:g.size].reshape(g.shape)
-        den = den_buf[:g.size].reshape(g.shape)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=tmp)
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += state.eps
-        np.multiply(m, state.lr / bc1, out=tmp)
-        tmp /= den
+        # contiguous moments, so their flat reshapes are views updated in place
+        state.m[name] = np.ascontiguousarray(state.m[name])
+        state.v[name] = np.ascontiguousarray(state.v[name])
+        g, m, v = g.reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1)
+        param = store[name].reshape(-1)
         # a new array, not an in-place write: frozen snapshots share the
         # store's arrays
-        fresh = tmp.astype(store.dtype)
-        store[name] = np.subtract(store[name], fresh, out=fresh)
+        fresh = np.empty_like(param)
+        for lo in range(0, g.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, g.size)
+            gb = g[lo:hi].astype(np.float64, copy=False)
+            mb, vb, out = m[lo:hi], v[lo:hi], fresh[lo:hi]
+            tmp, den = tmp_buf[:hi - lo], den_buf[:hi - lo]
+            mb *= state.beta1
+            mb += np.multiply(gb, 1.0 - state.beta1, out=tmp)
+            vb *= state.beta2
+            np.multiply(gb, 1.0 - state.beta2, out=tmp)
+            tmp *= gb
+            vb += tmp
+            np.divide(vb, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += state.eps
+            np.multiply(mb, state.lr / bc1, out=tmp)
+            tmp /= den
+            out[...] = tmp  # rounds to the store's dtype, as astype does
+            np.subtract(param[lo:hi], out, out=out)
+        store[name] = fresh.reshape(store[name].shape)
 
 
 # ---------------------------------------------------------- grad checker

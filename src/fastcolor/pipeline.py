@@ -296,6 +296,10 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
                                log_path=episode_log)
         win_rate = (float(np.mean([r.z is Outcome.WIN for r in results]))
                     if results else 0.0)
+        # while both models hold the same parameters, training reads the
+        # tables self-play computed
+        if candidate.version == incumbent.version:
+            buffer.embeddings.adopt(candidate.cache, incumbent.version)
 
         losses = []
         for _ in range(cfg.steps_per_iteration):
@@ -335,6 +339,7 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
             baseline = BaselineOracle(incumbent.policy(cfg))
             incumbent_avg = gate.candidate_avg
             buffer.embeddings.drop_below(incumbent.version)
+            buffer.embeddings.adopt(candidate.cache, incumbent.version)
             save_checkpoint(ckpt_path, Checkpoint(
                 params=incumbent.store, adam=adam, config_hash=cfg.hash(),
                 iteration=it, gate_history=_history_array(gate_history)))

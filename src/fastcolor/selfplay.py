@@ -57,6 +57,9 @@ class NetPolicy:
         self.net = net if net is not None else freeze(store, cfg)
 
     def choose(self, state: ColoringState) -> int:
+        aset = state.valid_actions()
+        if not aset.existing:  # forced: only a new color is valid
+            return aset.new_color
         table = self.cache.table(state.graph, self.store, self.cfg, self.version)
         mi = build_contexts(state, table, self.cfg)
         return int(mi.actions[int(np.argmax(policy_forward(self.net, mi)))])
@@ -86,6 +89,13 @@ class EmbeddingCache:
     def drop_below(self, version: int) -> None:
         """Free tables computed under superseded parameters."""
         self._tables = {k: v for k, v in self._tables.items() if k[1] >= version}
+
+    def adopt(self, other: "EmbeddingCache", version: int) -> None:
+        """Share ``other``'s tables of ``version``, computed from the same
+        parameters; tables are immutable, so both caches may hold them."""
+        for key, table in other._tables.items():
+            if key[1] == version:
+                self._tables.setdefault(key, table)
 
 
 # -- baseline -----------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fastcolor.coloring import ColoringState
+from fastcolor.coloring import ActionSet, ColoringState
+from fastcolor.errors import ContractError
 from fastcolor.graph import Graph
 
 
@@ -42,14 +43,36 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def reference_blocked(state: ColoringState) -> set[int]:
+    """Colors of the current vertex's colored neighbors, read from ``color_of``."""
+    cols = state.color_of[state.graph.neighbors_of(int(state.order[state.t]))]
+    return set(cols[cols >= 0].tolist())
+
+
+def assert_moves_match_colors(state: ColoringState) -> None:
+    """``valid_actions``, ``greedy_action`` and the conflict check agree
+    with the blocked colors read from ``color_of``; a rejected move leaves
+    the state as it was."""
+    blocked = reference_blocked(state)
+    free = tuple(c for c in range(state.colors_used) if c not in blocked)
+    assert state.valid_actions() == ActionSet(existing=free, new_color=state.colors_used)
+    assert state.greedy_action() == (free[0] if free else state.colors_used)
+    t, color_of = state.t, state.color_of.copy()
+    for c in sorted(blocked):
+        with pytest.raises(ContractError, match="conflicts"):
+            state.apply_inplace(c)
+    assert state.t == t and np.array_equal(state.color_of, color_of)
+
+
 def assert_same_state(got: ColoringState, want: ColoringState) -> None:
-    """Every field a reader can see, plus the moves each state offers."""
+    """Every field a reader can see, plus the moves each state offers,
+    checked against ``color_of`` too."""
     assert got.graph is want.graph and np.array_equal(got.order, want.order)
     assert got.t == want.t and got.colors_used == want.colors_used
     assert np.array_equal(got.color_of, want.color_of)
     assert got.color_members == want.color_members
-    assert got.neighbor_counts == want.neighbor_counts
     if not want.is_terminal:
+        assert_moves_match_colors(got)
         assert got.valid_actions() == want.valid_actions()
         assert got.greedy_action() == want.greedy_action()
 

@@ -32,10 +32,10 @@ from fastcolor.fastcolornet import (
     v_forward,
 )
 import fastcolor
-from fastcolor import embedding, nn
+from fastcolor import embedding, fastcolornet, nn
 from fastcolor.graph import Graph, gen_er
 from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
-from fastcolor.nn import AdamState, ParamStore, finite_diff_check
+from fastcolor.nn import AdamState, ParamStore, dense_forward, finite_diff_check, softmax
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
 
@@ -634,6 +634,30 @@ class TestFrozenInference:
             assert np.abs(p_list[b] - p_ref[b]).max() <= tol
             assert np.abs(v3[b] - v3_ref[b]).max() <= tol
             assert np.array_equal(policy_forward(net, mi), alone_p)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_priors_are_per_move_softmax_of_batch_logits(self, dtype, seed, monkeypatch):
+        cfg = tiny_cfg(dtype=dtype)
+        store = init_fastcolornet(cfg, seed=seed)
+        rng = make_rng(seed)
+        randomize_inference_params(store, rng)
+        sizes = rng.permutation(np.arange(1, 17)).tolist()
+        moves = [random_move(cfg, k, rng) for k in sizes]
+        moves[0].cand_sets[:] = 0  # equal logits: exactly uniform priors
+        outputs = []
+
+        def spy(x, w, b):
+            out = dense_forward(x, w, b)
+            outputs.append(out[0])
+            return out
+
+        monkeypatch.setattr(fastcolornet, "dense_forward", spy)
+        p_list, _ = policy_value_forward(freeze(store, cfg), moves)
+        # the p.head call comes last; its scores are the batch's logits
+        logits = outputs[-1][:, 0].astype(np.float64)
+        for p, lg in zip(p_list, np.split(logits, np.cumsum(sizes)[:-1])):
+            assert np.array_equal(p, softmax(lg))
 
     def test_evaluate_batch_scores_each_state_with_its_evaluator(self):
         cfg = tiny_cfg()

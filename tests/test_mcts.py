@@ -1,7 +1,11 @@
 """Search behavior: selection, backup, pi extraction, and tree reuse."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import (
     ColoringState,
@@ -114,6 +118,81 @@ class TestBackup:
         backup([(a, 1), (b, 0)], 1.0)
         assert a.visits.tolist() == [0, 1] and b.visits[0] == 1
         assert a.value[1] == 1.0 and b.value[0] == 1.0
+
+
+def reference_select(stats: np.ndarray, c: float) -> int:
+    """The selection rule on a (4, K) NumPy array of (prior, visits,
+    value, action) rows, one score at a time."""
+    root = math.sqrt(float(stats[1].sum()))
+    best, best_score = 0, None
+    for i in range(stats.shape[1]):
+        p = stats[0, i]
+        score = stats[2, i] + c * p * root / (1.0 + stats[1, i])
+        if best_score is None or score > best_score or (
+                score == best_score and p > stats[0, best]):
+            best, best_score = i, score
+    return best
+
+
+def reference_backup(stats: np.ndarray, i: int, v: float) -> None:
+    n = stats[1, i]
+    stats[2, i] = (stats[2, i] * n + v) / (n + 1)
+    stats[1, i] = n + 1
+
+
+class TestArrayNode:
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 4.0),
+           st.sampled_from(["distinct", "tied", "uniform"]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_select_and_backup_match_numpy_reference(self, k, seed, c, priors, visited):
+        rng = np.random.default_rng(seed)
+        if priors == "distinct":
+            prior = rng.dirichlet(np.ones(k))
+        elif priors == "tied":  # a few prior values, so score ties are common
+            prior = rng.integers(1, 3, size=k) / 4.0
+        else:
+            prior = np.full(k, 1.0 / k)
+        actions = sorted(rng.choice(3 * k, size=k, replace=False).tolist())
+        node = Node.expanded(actions, prior)
+        ref = np.zeros((4, k))
+        ref[0], ref[3] = prior, actions
+        if visited:
+            ref[1] = rng.integers(0, 6, size=k)
+            ref[2] = rng.choice([-1.0, 0.0, 0.5, 1.0], size=k)
+            node.visits[:], node.value[:] = ref[1], ref[2]
+        other = Node.expanded([0], np.ones(1))
+        other_ref = np.array([[1.0], [0.0], [0.0], [0.0]])
+        for _ in range(24):
+            i = select_index(node, c)
+            assert i == reference_select(ref, c)
+            v = float(rng.choice([-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]))
+            backup([(node, i), (other, 0)], v)
+            reference_backup(ref, i, v)
+            reference_backup(other_ref, 0, v)
+            assert np.array_equal(node.visits, ref[1]) and np.array_equal(node.value, ref[2])
+            assert np.array_equal(other.value, other_ref[2])
+        assert np.array_equal(node.prior, ref[0]) and node.actions == actions
+        assert np.array_equal(node.visits, ref[1])
+
+    def test_views_write_through(self):
+        node = Node.expanded([2, 5], np.array([0.25, 0.75]))
+        node.prior = [0.5, 0.5]
+        node.visits[1] = 3
+        node.value[1] = -0.5
+        assert node.stats.tolist() == [0.5, 0.5, 0.0, 3.0, 0.0, -0.5, 2.0, 5.0]
+        assert node.actions == [2, 5] and Node.terminal(1.0).actions == []
+
+    def test_three_action_node_fits_288_bytes(self):
+        prior = np.full(3, 1.0 / 3.0)
+        nodes = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nodes.extend(Node.expanded([0, 1, 2], prior) for _ in range(1000))
+            per_node = (tracemalloc.get_traced_memory()[0] - before) / len(nodes)
+        finally:
+            tracemalloc.stop()
+        assert per_node <= 288
 
 
 class TestSelectPath:

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fastcolor import nn
 from fastcolor.errors import ContractError, ParameterError
 from fastcolor.nn import (
     AdamState,
@@ -329,6 +330,32 @@ class TestAdam:
                 assert store[n].dtype == dtype
                 assert np.array_equal(store[n], params[n]), n
                 assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n]), n
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_blocks_match_one_block(self, dtype, block, monkeypatch):
+        # parameters span several blocks and end mid-block
+        def run():
+            rng = np.random.default_rng(5)
+            store = ParamStore(dtype=dtype)
+            for name, shape in (("a.w", (5, 7)), ("c.k", (3, 2, 4)), ("s", ())):
+                store.add(name, rng.normal(size=shape))
+            state = AdamState.for_store(store, lr=0.01)
+            for _ in range(3):
+                grads = {n: rng.normal(size=store[n].shape).astype(np.float32)
+                         for n in store.trainable_names()}
+                grads["a.w"] = rng.normal(size=(7, 5)).T
+                adam_step(store, grads, state)
+            return store, state
+
+        whole, whole_state = run()
+        monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+        blocked, blocked_state = run()
+        for n in whole.trainable_names():
+            assert np.array_equal(blocked[n], whole[n]), n
+            assert np.array_equal(blocked_state.m[n], whole_state.m[n]), n
+            assert np.array_equal(blocked_state.v[n], whole_state.v[n]), n
 
 
 class TestParamStore:

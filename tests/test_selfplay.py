@@ -386,6 +386,42 @@ class TestNetPolicy:
         state = ColoringState(complete_graph(3))
         assert NetPolicy(store, cfg, EmbeddingCache(), version=0).choose(state) == 0
 
+    def test_forced_moves_skip_the_network(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("network called on a forced move")
+
+        monkeypatch.setattr(selfplay, "build_contexts", refuse)
+        monkeypatch.setattr(selfplay, "policy_forward", refuse)
+        cfg = net_cfg()
+        cache = EmbeddingCache()
+        g = complete_graph(5)  # every move opens a new color
+        trace = BaselineOracle(NetPolicy(init_fastcolornet(cfg), cfg, cache, 0)).trace(g, cfg)
+        assert trace.actions.tolist() == [0, 1, 2, 3, 4] and len(cache) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decoded_colors_unchanged_by_forced_move_shortcut(self, seed):
+        from fastcolor.coloring import ColoringState, compute_order
+        from fastcolor.fastcolornet import build_contexts, policy_forward
+
+        cfg = net_cfg(order_kind=("unordered", "ordered", "dynamic")[seed % 3])
+        store = init_fastcolornet(cfg, seed=seed)
+        rng = make_rng(seed)
+        for name in store.names():  # non-zero heads, so the network decides
+            if ".head." in name:
+                store[name] = rng.normal(size=store[name].shape)
+        g = gen_er(14, 0.2 + 0.1 * seed, seed=seed)
+        policy = NetPolicy(store, cfg, EmbeddingCache(), version=0)
+        state = ColoringState(g, compute_order(g, cfg.order_kind))
+        forced = 0
+        while not state.is_terminal:
+            # reference: always score the move with the network
+            mi = build_contexts(state, policy.cache.table(g, store, cfg, 0), cfg)
+            want = mi.actions[int(np.argmax(policy_forward(policy.net, mi)))]
+            forced += len(mi.actions) == 1
+            assert policy.choose(state) == want
+            state.apply_inplace(want)
+        assert forced >= 1
+
 
 class TestRunSelfplay:
     def test_fills_buffer_and_logs(self, tmp_path):
