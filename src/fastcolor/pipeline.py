@@ -291,15 +291,15 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     for it in range(1, cfg.train_iterations + 1):
         t0 = time.perf_counter()
 
-        results = run_selfplay(train_graphs, cfg, lambda g: candidate.evaluator(g, cfg), baseline,
+        # until this iteration trains it, a candidate that was just promoted
+        # (or is fresh) holds the incumbent's parameters; self-play then
+        # scores with the incumbent, so one cache holds each table
+        player = incumbent if candidate.version == incumbent.version else candidate
+        results = run_selfplay(train_graphs, cfg, lambda g: player.evaluator(g, cfg), baseline,
                                buffer, seed=int(mix64(cfg.seed, 2, it)),
                                log_path=episode_log)
         win_rate = (float(np.mean([r.z is Outcome.WIN for r in results]))
                     if results else 0.0)
-        # while both models hold the same parameters, training reads the
-        # tables self-play computed
-        if candidate.version == incumbent.version:
-            buffer.embeddings.adopt(candidate.cache, incumbent.version)
 
         losses = []
         for _ in range(cfg.steps_per_iteration):

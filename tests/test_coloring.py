@@ -164,7 +164,7 @@ class TestUndo:
         with pytest.raises(StateError):
             ColoringState(k4).undo()
 
-    def test_clone_is_independent(self, k4):
+    def test_undo_on_clone_leaves_original(self, k4):
         state = ColoringState(k4)
         state.apply_inplace(0)
         other = state.clone()

@@ -197,6 +197,41 @@ class TestEvaluate:
         assert mcts_color(complete_graph(4), cfg, model, simulations=4) == 4
 
 
+def assert_tables_computed_once(tmp_path, monkeypatch, **kw) -> None:
+    """Run policy iteration and check that, across the candidate's and the
+    incumbent's caches, each (graph, version) table is computed once.
+
+    Self-play scores with the incumbent while the candidate holds its
+    parameters, and a promotion hands the candidate's tables of the new
+    version (computed by the gate) to the incumbent."""
+    misses = []  # (cache, graph key, version) per computed table
+    table = EmbeddingCache.table
+
+    def spy_table(self, g, store, cfg, version):
+        before = len(self)
+        out = table(self, g, store, cfg, version)
+        if len(self) > before:
+            misses.append((id(self), g.key(), version))
+        return out
+
+    gated = []
+    gate = pipeline.gate_model
+
+    def spy_gate(candidate_policy, *args):
+        gated.append(id(candidate_policy.cache))
+        return gate(candidate_policy, *args)
+
+    monkeypatch.setattr(EmbeddingCache, "table", spy_table)
+    monkeypatch.setattr(pipeline, "gate_model", spy_gate)
+    result = policy_iteration(tiny_cfg(**kw), out_dir=str(tmp_path))
+    promoted = {it for it, accepted, _, _ in result.gate_history if accepted}
+    assert {1, 2} <= promoted
+    computed = [(key, version) for _, key, version in misses]
+    assert len(computed) == len(set(computed))
+    assert {version for _, version in computed} >= {0, 1, 2}
+    assert {cache for cache, _, _ in misses} & set(gated)
+
+
 class TestPolicyIteration:
     def test_zero_iterations_bootstrap_eval_only(self, tmp_path):
         cfg = tiny_cfg(train_iterations=0)
@@ -261,36 +296,11 @@ class TestPolicyIteration:
         assert seen[2 * steps:] == [{2}] * steps
 
     def test_incumbent_tables_computed_once_per_version(self, tmp_path, monkeypatch):
-        misses = []  # (cache, graph key, version) per computed table
-        table = EmbeddingCache.table
+        assert_tables_computed_once(tmp_path, monkeypatch, train_iterations=3)
 
-        def spy_table(self, g, store, cfg, version):
-            before = len(self)
-            out = table(self, g, store, cfg, version)
-            if len(self) > before:
-                misses.append((id(self), g.key(), version))
-            return out
-
-        gated = []
-        gate = pipeline.gate_model
-
-        def spy_gate(candidate_policy, *args):
-            gated.append(id(candidate_policy.cache))
-            return gate(candidate_policy, *args)
-
-        monkeypatch.setattr(EmbeddingCache, "table", spy_table)
-        monkeypatch.setattr(pipeline, "gate_model", spy_gate)
-        cfg = tiny_cfg(train_iterations=3)
-        result = policy_iteration(cfg, out_dir=str(tmp_path))
-        promoted = {it for it, accepted, _, _ in result.gate_history if accepted}
-        assert {1, 2} <= promoted
-        # the incumbent's cache takes the candidate's tables of a version
-        # both hold, so across the two caches each (graph, version) is
-        # computed once
-        computed = [(key, version) for _, key, version in misses]
-        assert len(computed) == len(set(computed))
-        assert {version for _, version in computed} >= {0, 1, 2}
-        assert {cache for cache, _, _ in misses} & set(gated)
+    def test_tables_computed_once_with_separate_eval_graphs(self, tmp_path, monkeypatch):
+        assert_tables_computed_once(tmp_path, monkeypatch, train_iterations=4,
+                                    eval_sources="er:12,0.5:seed=5..6", seed=1)
 
     def test_deterministic_metrics(self, tmp_path):
         cfg = tiny_cfg()
