@@ -96,6 +96,8 @@ class ColoringState:
     neighbors of v that come before it in the order: they are all colored
     when v is current, so the colors v may not take are read from them on
     demand, and stepping or undoing a move touches no neighbor.
+    ``_order`` and ``_earlier`` are read-only and shared by every state
+    on the same (graph, order).
     """
 
     __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members",
@@ -107,7 +109,7 @@ class ColoringState:
             order = np.arange(graph.n, dtype=np.int32)
         else:
             order = np.asarray(order, dtype=np.int32)
-            if order.shape != (graph.n,) or (graph.n and sorted(order.tolist()) != list(range(graph.n))):
+            if order.shape != (graph.n,):
                 raise ParameterError("order must be a permutation of 0..n-1")
         self.order = order
         self.t = 0
@@ -115,12 +117,7 @@ class ColoringState:
         self.colors_used = 0
         self.color_members: list[list[int]] = []
         self._colors = [-1] * graph.n
-        self._order = order.tolist()
-        pos = [0] * graph.n
-        for i, v in enumerate(self._order):
-            pos[v] = i
-        adjacency = graph.adjacency()
-        self._earlier = [[u for u in adjacency[v] if pos[u] < pos[v]] for v in range(graph.n)]
+        self._order, self._earlier = _order_lists(graph, order)
         self._padded: np.ndarray | None = None
 
     def clone(self) -> "ColoringState":
@@ -208,6 +205,27 @@ class ColoringState:
             padded.flags.writeable = False
             self._padded = padded
         return padded[self.t:self.t + 2 * w]
+
+
+def _order_lists(g: Graph, order: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """``order`` as a list and each vertex's neighbors earlier in it,
+    built once per (graph, order) and kept on the graph, keyed by the
+    order's bytes. Raises ParameterError, every time, unless ``order`` (of
+    shape (n,)) is a permutation of 0..n-1; such orders are never kept."""
+    memo = g.memo("_order_lists", dict)
+    key = order.tobytes()
+    lists = memo.get(key)
+    if lists is None:
+        order_list = order.tolist()
+        if sorted(order_list) != list(range(g.n)):
+            raise ParameterError("order must be a permutation of 0..n-1")
+        pos = [0] * g.n
+        for i, v in enumerate(order_list):
+            pos[v] = i
+        adjacency = g.adjacency()
+        lists = memo[key] = (order_list, [[u for u in adjacency[v] if pos[u] < pos[v]]
+                                          for v in range(g.n)])
+    return lists
 
 
 def compute_order(g: Graph, kind: str) -> np.ndarray:

@@ -33,7 +33,6 @@ from .rng import mix64
 
 __all__ = [
     "encode_onehot",
-    "onehot_vector",
     "degree_onehot_matrix",
     "sampled_neighbor",
     "sampled_neighbors_all",
@@ -49,6 +48,11 @@ __all__ = [
     "walk_backprop",
 ]
 
+# Vertices per transfer call while building a table: one block's LSTM
+# tapes are a few MB at the default widths, against V rows' worth when a
+# whole iteration runs in one call.
+EMBED_BLOCK = 512
+
 
 def encode_onehot(value: int, maximum: int, size: int = 32) -> int:
     """Bucket index = min(floor(value / maximum * size), size - 1).
@@ -63,12 +67,6 @@ def encode_onehot(value: int, maximum: int, size: int = 32) -> int:
     if maximum == 0:
         return 0
     return min(int(value * size // maximum), size - 1)
-
-
-def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) -> np.ndarray:
-    vec = np.zeros(size, dtype=dtype)
-    vec[encode_onehot(value, maximum, size)] = 1.0
-    return vec
 
 
 def degree_onehot_matrix(g: Graph, bins: int = 32, dtype=np.float32) -> np.ndarray:
@@ -192,20 +190,27 @@ def transfer_backward(store: ParamStore, dmu: np.ndarray, cache):
     return dfeat, grads
 
 
-def _message_features(deg1hot: np.ndarray, prev: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+def _message_features(deg1hot: np.ndarray, prev: np.ndarray, nbrs: np.ndarray, lo: int) -> np.ndarray:
+    """Messages of rows ``lo .. lo + len(nbrs)``, whose sampled neighbors
+    are ``nbrs``; neighbor rows are read from the full ``deg1hot``/``prev``."""
     # [own degree bucket | own previous embedding | neighbor degree bucket |
     #  neighbor previous embedding]; both neighbor blocks zero when isolated.
-    n = deg1hot.shape[0]
-    nbr_deg = np.zeros_like(deg1hot)
-    nbr_prev = np.zeros_like(prev)
+    hi = lo + nbrs.shape[0]
+    nbr_deg = np.zeros_like(deg1hot[lo:hi])
+    nbr_prev = np.zeros_like(prev[lo:hi])
     present = nbrs >= 0
     nbr_deg[present] = deg1hot[nbrs[present]]
     nbr_prev[present] = prev[nbrs[present]]
-    return np.concatenate([deg1hot, prev, nbr_deg, nbr_prev], axis=1)
+    return np.concatenate([deg1hot[lo:hi], prev[lo:hi], nbr_deg, nbr_prev], axis=1)
 
 
 def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> EmbeddingTable:
-    """Run T update iterations over every vertex (vectorized)."""
+    """Run T update iterations over every vertex, ``EMBED_BLOCK`` rows per
+    transfer call, so the working set is the table plus one block's tapes.
+    At the quick-start and ``Config()`` widths a row's result does not
+    depend on the other rows (two or more) of its call, so the tables are
+    bit-identical to one call per iteration; at some float64 widths the
+    BLAS sums a row by its place in the call, and the last bit can differ."""
     if cfg.embed_iterations < 0:
         raise ParameterError("iterations must be >= 0")
     dtype = store.dtype
@@ -213,9 +218,14 @@ def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> Embedding
     deg1hot = degree_onehot_matrix(g, cfg.feature_bins, dtype=dtype)
     for t in range(1, cfg.embed_iterations + 1):
         nbrs = sampled_neighbors_all(g, t, seed)
-        feats = _message_features(deg1hot, tables[t - 1], nbrs)
-        mu, _ = transfer_forward(store, cfg, feats)
-        tables[t] = mu
+        for lo in range(0, max(g.n - 1, 1), EMBED_BLOCK):
+            # a one-row tail joins the block before it: NumPy multiplies a
+            # single row by the matrix-vector path, which adds in another
+            # order than the matrix product of a larger call
+            hi = g.n if g.n - lo <= EMBED_BLOCK + 1 else lo + EMBED_BLOCK
+            feats = _message_features(deg1hot, tables[t - 1], nbrs[lo:hi], lo)
+            # index the result so the block's tapes are freed right away
+            tables[t, lo:hi] = transfer_forward(store, cfg, feats)[0]
     return EmbeddingTable(graph_key=g.key(), seed=seed, iterations=cfg.embed_iterations, tables=tables)
 
 

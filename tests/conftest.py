@@ -1,9 +1,12 @@
-"""Shared graph constructions used across the test suite."""
+"""Shared graph constructions and reference helpers used across the test suite."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fastcolor.coloring import ActionSet, ColoringState
+from fastcolor.embedding import encode_onehot
 from fastcolor.errors import ContractError
 from fastcolor.graph import Graph
 
@@ -41,6 +44,30 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) -> np.ndarray:
+    """One bucketed one-hot feature vector, built from ``encode_onehot``."""
+    vec = np.zeros(size, dtype=dtype)
+    vec[encode_onehot(value, maximum, size)] = 1.0
+    return vec
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: peak is the most memory, in bytes, that ``fn``
+    held at once beyond what was allocated before the call (tracemalloc).
+    It counts allocations, not time, so it repeats exactly."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def reference_blocked(state: ColoringState) -> set[int]:

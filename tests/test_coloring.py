@@ -19,7 +19,7 @@ from fastcolor.coloring import (
     outcome_vs_baseline,
 )
 from fastcolor.errors import ContractError, ParameterError, SizeError, StateError
-from fastcolor.graph import Graph, gen_er
+from fastcolor.graph import Graph, gen_er, gen_ws
 
 from conftest import (
     assert_same_state,
@@ -29,6 +29,7 @@ from conftest import (
     path_graph,
     petersen_graph,
     star_graph,
+    traced_peak,
 )
 
 
@@ -206,6 +207,42 @@ class TestOrders:
         assert compute_order(petersen_graph(), "dynamic") is not compute_order(petersen, "dynamic")
         with pytest.raises(ParameterError):
             compute_order(petersen, "sideways")
+
+
+class TestStateLists:
+    def test_shared_per_graph_and_order(self, petersen):
+        order = compute_order(petersen, "dynamic")
+        first = ColoringState(petersen, order)
+        same = ColoringState(petersen, order.copy())  # keyed by content
+        other = ColoringState(petersen, compute_order(petersen, "ordered"))
+        assert same._earlier is first._earlier and same._order is first._order
+        assert other._earlier is not first._earlier
+        assert first.clone()._earlier is first._earlier
+        fresh = ColoringState(petersen_graph(), order)
+        assert fresh._earlier is not first._earlier and fresh._earlier == first._earlier
+        for state in (first, same, other, fresh):
+            while not state.is_terminal:
+                state.apply_inplace(state.greedy_action())
+            check_proper(state.graph, state.color_of)
+
+    def test_non_permutation_rejected_every_time(self, petersen):
+        ColoringState(petersen)  # the identity order is kept
+        bad = np.array([0, 0, 2, 3, 4, 5, 6, 7, 8, 9], dtype=np.int32)
+        # the reshaped identity has the kept order's bytes
+        for order in (bad, bad, np.arange(9), np.arange(10).reshape(1, 10), np.arange(1, 11)):
+            with pytest.raises(ParameterError, match="permutation"):
+                ColoringState(petersen, order)
+        assert list(petersen.memo("_order_lists", dict)) == [np.arange(10, dtype=np.int32).tobytes()]
+
+    def test_second_state_allocates_no_earlier_lists(self):
+        # the neighbor lists take at least a list header per vertex (64n
+        # bytes); a second state allocates its colors and the order's key
+        g = gen_ws(2048, 4, 0.5, seed=1)
+        order = compute_order(g, "dynamic")
+        first, _ = traced_peak(lambda: ColoringState(g, order))
+        second, peak = traced_peak(lambda: ColoringState(g, order))
+        assert second._earlier is first._earlier
+        assert peak < 24 * g.n
 
 
 class TestGreedyHeuristics:

@@ -12,7 +12,6 @@ from fastcolor.embedding import (
     degree_onehot_matrix,
     encode_onehot,
     init_transfer_params,
-    onehot_vector,
     sample_walk,
     sampled_neighbor,
     sampled_neighbors_all,
@@ -28,7 +27,7 @@ from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.nn import ParamStore, finite_diff_check
 from fastcolor.rng import make_rng
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, onehot_vector, path_graph, star_graph, traced_peak
 
 
 def small_cfg(**kw) -> Config:
@@ -200,6 +199,75 @@ class TestComputeEmbeddings:
         clock(small)  # warm caches
         ratio = clock(big) / clock(small)
         assert ratio < 3.6
+
+
+def one_pass_reference(g, store, cfg, seed) -> np.ndarray:
+    """Every iteration's messages of all V vertices in one
+    ``transfer_forward`` call; returns the (T+1, V, D) tables."""
+    dtype = store.dtype
+    tables = np.zeros((cfg.embed_iterations + 1, g.n, cfg.embed_dim), dtype=dtype)
+    deg1hot = degree_onehot_matrix(g, cfg.feature_bins, dtype=dtype)
+    for t in range(1, cfg.embed_iterations + 1):
+        nbrs = sampled_neighbors_all(g, t, seed)
+        prev = tables[t - 1]
+        nbr_deg, nbr_prev = np.zeros_like(deg1hot), np.zeros_like(prev)
+        present = nbrs >= 0
+        nbr_deg[present] = deg1hot[nbrs[present]]
+        nbr_prev[present] = prev[nbrs[present]]
+        feats = np.concatenate([deg1hot, prev, nbr_deg, nbr_prev], axis=1)
+        tables[t] = transfer_forward(store, cfg, feats)[0]
+    return tables
+
+
+class TestBlockedEmbeddings:
+    # quick-start widths: at these (and Config()'s) a row's result does not
+    # depend on the other rows of a call of two or more, which is not so
+    # for small_cfg in float64; one-row calls take NumPy's matrix-vector
+    # path, so blocks of 1 cannot match one pass
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.sampled_from([2, 3, 7]), n=st.integers(1, 30), isolated=st.booleans(),
+           kind=st.sampled_from(["er", "ws"]), p=st.floats(0.0, 0.6),
+           iterations=st.integers(0, 3), dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2**16))
+    def test_blocks_match_one_pass(self, block, n, isolated, kind, p, iterations, dtype, seed):
+        if kind == "er":
+            g = gen_er(n, p, seed)
+        else:
+            g = gen_ws(n, min(4, (n - 1) // 2 * 2), p, seed)
+        if isolated:
+            g = with_isolated_vertex(g)
+        cfg = small_cfg(feature_bins=16, embed_dim=16, embed_hidden=16, embed_iterations=iterations)
+        store = make_store(cfg, seed=seed % 5, dtype=dtype)
+        want = one_pass_reference(g, store, cfg, seed)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(embedding, "EMBED_BLOCK", block)
+            got = compute_embeddings(g, store, cfg, seed)
+        assert got.tables.dtype == dtype
+        assert np.array_equal(got.tables, want)
+
+    @pytest.mark.parametrize("tail", [5, 1, 0])
+    def test_default_blocks_and_one_row_tail(self, monkeypatch, tail):
+        block = embedding.EMBED_BLOCK
+        calls = {5: [block, block, 5], 1: [block, block + 1], 0: [block, block]}[tail]
+        cfg = Config()
+        store = make_store(cfg, dtype=np.float32)
+        g = gen_ws(2 * block + tail, 4, 0.3, seed=1)
+        rows = []
+        forward = embedding.transfer_forward
+        monkeypatch.setattr(embedding, "transfer_forward",
+                            lambda *a: rows.append(a[2].shape[0]) or forward(*a))
+        got = compute_embeddings(g, store, cfg, seed=2)
+        assert rows == calls * cfg.embed_iterations
+        assert np.array_equal(got.tables, one_pass_reference(g, store, cfg, seed=2))
+
+    def test_working_set_is_table_plus_one_block(self):
+        # Config() widths on ws:4096: one pass over all rows held ~80 MB
+        # of LSTM tapes beyond the 8 MB table
+        cfg = Config()
+        store = make_store(cfg, dtype=np.float32)
+        g = gen_ws(4096, 4, 0.5, seed=1)
+        table, peak = traced_peak(lambda: compute_embeddings(g, store, cfg, seed=17))
+        assert peak - table.tables.nbytes < 16 * 2**20
 
 
 class TestWalks:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import ColoringState, Outcome
 from fastcolor.config import Config
-from fastcolor.embedding import compute_embeddings, encode_onehot, onehot_vector
+from fastcolor.embedding import compute_embeddings, encode_onehot
 from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import (
     MoveInput,
@@ -39,7 +39,7 @@ from fastcolor.nn import AdamState, ParamStore, dense_forward, finite_diff_check
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
 
-from conftest import complete_graph, path_graph, cycle_graph
+from conftest import complete_graph, cycle_graph, onehot_vector, path_graph
 
 
 def tiny_cfg(**kw) -> Config:
