@@ -63,7 +63,8 @@ __all__ = [
     "p_forward",
     "InferenceNet",
     "freeze",
-    "policy_forward",
+    "slot_term",
+    "decode_probs",
     "policy_value_forward",
     "evaluate",
     "evaluate_frozen",
@@ -129,8 +130,12 @@ def graph_context(state: ColoringState, aset: ActionSet, cfg, dtype=np.float64) 
     return gc
 
 
-def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInput:
-    """Contexts for the current move, in the embedding table's dtype."""
+def build_contexts(state: ColoringState, table: EmbeddingTable, cfg,
+                   aset: ActionSet | None = None) -> MoveInput:
+    """Contexts for the current move, in the embedding table's dtype.
+
+    ``aset`` is the state's action set, for a caller that already holds it.
+    """
     g = state.graph
     if table.tables.shape[1] != g.n:
         raise ContractError(
@@ -142,7 +147,8 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg) -> MoveInpu
     pc_vertices = state.order_window(cfg.window)
     pc = rows[pc_vertices]
 
-    aset = state.valid_actions()
+    if aset is None:
+        aset = state.valid_actions()
     existing = list(aset.existing)
     capped = False
     if len(existing) + 1 > cfg.candidate_cap:
@@ -414,6 +420,19 @@ def freeze(store: ParamStore, cfg) -> InferenceNet:
     )
 
 
+def _folded_block(y: np.ndarray, layer: FoldedLayer, skip: np.ndarray | None = None,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """relu(y * scale + shift) (+ ``skip``), in place, for a layer's output y."""
+    y *= layer.scale
+    y += layer.shift
+    np.maximum(y, 0, out=y)
+    if skip is not None:
+        y += skip
+    if mask is not None:
+        y *= mask
+    return y
+
+
 def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
                   mask: np.ndarray | None = None) -> np.ndarray:
     """The folded blocks in order. ``mask`` (B, S, 1) marks the cells of a
@@ -421,36 +440,38 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
     again after every block, so no tap reads another sequence's values."""
     for layer in layers:
         y, _ = forward(x, layer.w, layer.b)
-        y *= layer.scale
-        y += layer.shift
-        np.maximum(y, 0, out=y)
-        if y.shape[-1] == x.shape[-1]:
-            y += x
-        if mask is not None:
-            y *= mask
-        x = y
+        x = _folded_block(y, layer, x if y.shape[-1] == x.shape[-1] else None, mask)
     return x
+
+
+def _policy_logits(net: InferenceNet, feats: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The policy net after its first block: ``feats`` are the p.fc.0
+    outputs of every move's candidate rows, concatenated, ``sizes`` the
+    moves' candidate counts. p.seq convolves each move's rows as one
+    zero-padded sequence, as p_forward does. Returns float64 logits (N,)."""
+    feats = _folded_stack(feats, net.p_fc[1:], dense_forward)
+    if len(sizes) == 1:  # one sequence: no padding to keep apart
+        feats = _folded_stack(feats[None], net.p_seq, conv1d_forward)[0]
+    else:
+        grid = np.arange(max(sizes)) < np.array(sizes)[:, None]
+        feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
+                              grid[..., None])[grid]
+    scores, _ = dense_forward(feats, *net.p_head)
+    return scores[:, 0].astype(np.float64)
 
 
 def _policy_probs(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
                   gc: np.ndarray) -> list[np.ndarray]:
-    # candidate rows of all moves, concatenated; p.seq convolves each
-    # move's rows as one zero-padded sequence, as p_forward does.
     # ``pc`` (B, 2w, D) and ``gc`` (B, G) are the moves' contexts, stacked.
     sizes = [mi.cand_sets.shape[0] for mi in moves]
     head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
     x = np.concatenate([np.repeat(head, sizes, axis=0),
                         np.concatenate([mi.cand_sets.reshape(k, -1)
                                         for mi, k in zip(moves, sizes)])], axis=1)
-    feats = _folded_stack(x, net.p_fc, dense_forward)
-    grid = np.arange(max(sizes)) < np.array(sizes)[:, None]
-    feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
-                          grid[..., None])[grid]
-    scores, _ = dense_forward(feats, *net.p_head)
+    logits = _policy_logits(net, _folded_stack(x, net.p_fc[:1], dense_forward), sizes)
     # float64 normalization, so equal logits give exactly uniform priors:
     # each move's softmax, bit for bit. The sums run move by move because
     # np.add.reduceat adds in another order than softmax's e.sum().
-    logits = scores[:, 0].astype(np.float64)
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
     e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
@@ -458,10 +479,31 @@ def _policy_probs(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
     return [p[a:b] for a, b in zip(starts, ends)]
 
 
-def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
-    """Candidate probabilities (K,) for one move; what p_forward computes
-    with training=False."""
-    return _policy_probs(net, [mi], mi.pc[None], mi.gc[None])[0]
+def slot_term(net: InferenceNet, cand_set: np.ndarray) -> np.ndarray:
+    """One candidate's member-slot part of p.fc.0: its (m, D) embedding
+    rows, flattened, times the slot rows of the layer's weight. It changes
+    only when the candidate color's m most recent members do."""
+    w = net.p_fc[0].w
+    return cand_set.reshape(-1) @ w[w.shape[0] - cand_set.size:]
+
+
+def decode_probs(net: InferenceNet, mi: MoveInput, slots: np.ndarray) -> np.ndarray:
+    """Candidate probabilities (K,) for one move, as ``policy_value_forward``
+    gives them up to rounding, with p.fc.0 split by its input columns.
+
+    The shared columns, ``gc`` and the pooled ``pc``, are multiplied once
+    for the move, not once per candidate. ``slots`` (K, p_width) holds each
+    candidate's ``slot_term``; the caller may keep those across moves.
+    """
+    layer = net.p_fc[0]
+    head = np.concatenate([mi.gc, mi.pc.mean(axis=0)])
+    shared, _ = dense_forward(head[None], layer.w[:head.size], layer.b)
+    y = slots + shared
+    skip = None
+    if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
+        skip = np.concatenate([np.broadcast_to(head, (len(y), head.size)),
+                               mi.cand_sets.reshape(len(y), -1)], axis=1)
+    return softmax(_policy_logits(net, _folded_block(y, layer, skip), [len(y)]))
 
 
 def policy_value_forward(net: InferenceNet,

@@ -33,7 +33,6 @@ __all__ = [
     "pi_from_counts",
     "search",
     "UniformEvaluator",
-    "RolloutEvaluator",
     "NetEvaluator",
     "evaluate_batch",
 ]
@@ -163,31 +162,6 @@ class UniformEvaluator:
     def evaluate(self, state: ColoringState):
         actions = state.valid_actions().actions()
         return actions, np.full(len(actions), 1.0 / len(actions)), 0.0
-
-
-class RolloutEvaluator:
-    """Uniform priors; value = exact outcome of a greedy completion,
-    played on the state itself and undone before returning.
-
-    Serves both as the network-free search configuration and as the
-    bootstrap evaluator before any training has happened.
-    """
-
-    def __init__(self, t_end: int, baseline_cum: np.ndarray):
-        self.t_end = t_end
-        self.baseline_cum = baseline_cum
-
-    def evaluate(self, state: ColoringState):
-        actions = state.valid_actions().actions()
-        priors = np.full(len(actions), 1.0 / len(actions))
-        start = state.t
-        while state.t < self.t_end:
-            state.apply_inplace(state.greedy_action())
-        v = outcome_vs_baseline(state.colors_used,
-                                int(self.baseline_cum[self.t_end])).game_value
-        while state.t > start:
-            state.undo()
-        return actions, priors, v
 
 
 class NetEvaluator:

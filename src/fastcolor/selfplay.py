@@ -21,7 +21,7 @@ from .coloring import ColoringState, Outcome, compute_order, outcome_vs_baseline
 from .config import Config
 from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
-from .fastcolornet import build_contexts, freeze, policy_forward
+from .fastcolornet import build_contexts, decode_probs, freeze, slot_term
 from .graph import Graph
 from .mcts import SearchTree, evaluate_batch
 from .rng import make_rng, mix64
@@ -46,6 +46,12 @@ class NetPolicy:
 
     ``net`` is the frozen snapshot of ``store`` at ``version``; it is
     built here when the caller has none to share.
+
+    Each candidate color's member-slot term of the first policy layer
+    (``slot_term``) is kept per (graph, color), with the member row it was
+    computed from, and recomputed only when that row changes: in a
+    decode, once for the color that took the last vertex. A new color has
+    no members, so its term is 0.
     """
 
     def __init__(self, store, cfg: Config, cache: "EmbeddingCache", version: int,
@@ -55,14 +61,22 @@ class NetPolicy:
         self.cache = cache
         self.version = version
         self.net = net if net is not None else freeze(store, cfg)
+        self.slots: dict[tuple[str, int], tuple[bytes, np.ndarray]] = {}
 
     def choose(self, state: ColoringState) -> int:
         aset = state.valid_actions()
         if not aset.existing:  # forced: only a new color is valid
             return aset.new_color
         table = self.cache.table(state.graph, self.store, self.cfg, self.version)
-        mi = build_contexts(state, table, self.cfg)
-        return int(mi.actions[int(np.argmax(policy_forward(self.net, mi)))])
+        mi = build_contexts(state, table, self.cfg, aset)
+        slots = np.zeros((len(mi.actions), self.net.p_fc[0].w.shape[1]), dtype=mi.gc.dtype)
+        for ci, color in enumerate(mi.actions[:-1]):
+            key, members = (table.graph_key, color), mi.cand_vertices[ci].tobytes()
+            hit = self.slots.get(key)
+            if hit is None or hit[0] != members:
+                hit = self.slots[key] = (members, slot_term(self.net, mi.cand_sets[ci]))
+            slots[ci] = hit[1]
+        return int(mi.actions[int(np.argmax(decode_probs(self.net, mi, slots)))])
 
 
 class EmbeddingCache:

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fastcolor.coloring import ActionSet, ColoringState
+from fastcolor.coloring import ActionSet, ColoringState, outcome_vs_baseline
 from fastcolor.embedding import encode_onehot
 from fastcolor.errors import ContractError
+from fastcolor.fastcolornet import InferenceNet, MoveInput, _policy_probs
 from fastcolor.graph import Graph
 
 
@@ -51,6 +52,34 @@ def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) ->
     vec = np.zeros(size, dtype=dtype)
     vec[encode_onehot(value, maximum, size)] = 1.0
     return vec
+
+
+def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
+    """Candidate probabilities (K,) for one move; what p_forward computes
+    with training=False."""
+    return _policy_probs(net, [mi], mi.pc[None], mi.gc[None])[0]
+
+
+class RolloutEvaluator:
+    """Uniform priors; value = exact outcome of a greedy completion,
+    played on the state itself and undone before returning. A
+    network-free evaluator whose leaf values are exact."""
+
+    def __init__(self, t_end: int, baseline_cum: np.ndarray):
+        self.t_end = t_end
+        self.baseline_cum = baseline_cum
+
+    def evaluate(self, state: ColoringState):
+        actions = state.valid_actions().actions()
+        priors = np.full(len(actions), 1.0 / len(actions))
+        start = state.t
+        while state.t < self.t_end:
+            state.apply_inplace(state.greedy_action())
+        v = outcome_vs_baseline(state.colors_used,
+                                int(self.baseline_cum[self.t_end])).game_value
+        while state.t > start:
+            state.undo()
+        return actions, priors, v
 
 
 def traced_peak(fn):

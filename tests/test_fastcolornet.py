@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastcolor.coloring import ColoringState, Outcome
+from fastcolor.coloring import HEURISTIC_KINDS, ColoringState, Outcome, compute_order, greedy_color
 from fastcolor.config import Config
 from fastcolor.embedding import compute_embeddings, encode_onehot
 from fastcolor.errors import ContractError
@@ -27,19 +27,20 @@ from fastcolor.fastcolornet import (
     graph_context,
     init_fastcolornet,
     p_forward,
-    policy_forward,
     policy_value_forward,
+    slot_term,
     v_forward,
 )
 import fastcolor
-from fastcolor import embedding, fastcolornet, nn
-from fastcolor.graph import Graph, gen_er
+from fastcolor import embedding, fastcolornet, nn, selfplay
+from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
 from fastcolor.nn import AdamState, ParamStore, dense_forward, finite_diff_check, softmax
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
+from fastcolor.selfplay import EmbeddingCache, NetPolicy
 
-from conftest import complete_graph, cycle_graph, onehot_vector, path_graph
+from conftest import complete_graph, cycle_graph, onehot_vector, path_graph, policy_forward
 
 
 def tiny_cfg(**kw) -> Config:
@@ -110,13 +111,13 @@ class TestContexts:
     def test_gathers_match_per_row_reference(self, n, p, seed, dtype, window, set_size, cap):
         # every move of a random episode: the window pads past both ends
         # of the order, and moves with more than cap - 1 reusable colors
-        # take the capped path
+        # take the capped path; odd moves pass the caller's action set
         cfg = tiny_cfg(dtype=dtype, window=window, color_set_size=set_size, candidate_cap=cap)
         store, table, state = setup_state(gen_er(n, p, seed), cfg, seed=seed)
         assert table.final.dtype == np.dtype(dtype)
         rng = np.random.default_rng(seed)
         while not state.is_terminal:
-            mi = build_contexts(state, table, cfg)
+            mi = build_contexts(state, table, cfg, state.valid_actions() if state.t % 2 else None)
             want = reference_contexts(state, table, cfg)
             for name in ("pc", "pc_vertices", "cand_sets", "cand_vertices", "gc"):
                 got = getattr(mi, name)
@@ -714,6 +715,106 @@ class TestFrozenInference:
         assert model.evaluator(path_graph(4), cfg).net is net
         model.version += 1
         assert model.net(cfg) is not net
+
+
+class TestSplitDecode:
+    """``NetPolicy`` scores a move with p.fc.0 split into the shared columns
+    and per-color slot terms it keeps across moves. Every scored move must
+    match the batched inference path on the same contexts."""
+
+    @staticmethod
+    def scored(mp) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(split path, reference) probabilities of every move NetPolicy scores."""
+        seen = []
+        split = selfplay.decode_probs
+
+        def spy(net, mi, slots):
+            p = split(net, mi, slots)
+            seen.append((p, policy_forward(net, mi)))
+            return p
+
+        mp.setattr(selfplay, "decode_probs", spy)
+        return seen
+
+    @staticmethod
+    def assert_match(seen, tol):
+        assert seen
+        for got, want in seen:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol
+            top = np.sort(want)[::-1]
+            if top.size == 1 or top[0] - top[1] > tol:
+                assert np.argmax(got) == np.argmax(want)
+
+    @staticmethod
+    def policy(cfg, seed):
+        store = init_fastcolornet(cfg, seed=seed)
+        randomize_inference_params(store, make_rng(seed))
+        return NetPolicy(store, cfg, EmbeddingCache(), version=0)
+
+    @given(kind=st.sampled_from(["er", "ws"]), n=st.integers(6, 40), seed=st.integers(0, 999),
+           order_kind=st.sampled_from(HEURISTIC_KINDS), cap=st.integers(2, 4),
+           dtype=st.sampled_from(["float64", "float32"]), width=st.sampled_from([16, 50]))
+    @settings(max_examples=40, deadline=None)
+    def test_decode_matches_batched_path(self, kind, n, seed, order_kind, cap, dtype, width):
+        # p_width 50 is p.fc.0's input width at these sizes: a residual first block
+        cfg = tiny_cfg(dtype=dtype, order_kind=order_kind, candidate_cap=cap, p_width=width)
+        g = gen_er(n, 0.4, seed) if kind == "er" else gen_ws(n, 4, 0.5, seed)
+        policy = self.policy(cfg, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.scored(mp)
+            policy_colors(g, policy, cfg)
+        self.assert_match(seen, 1e-12 if dtype == "float64" else 1e-5)
+
+    def test_one_policy_over_interleaved_graphs(self, monkeypatch):
+        cfg = tiny_cfg()
+        policy = self.policy(cfg, 1)
+        seen = self.scored(monkeypatch)
+        states = [ColoringState(gen_er(16, 0.4, seed)) for seed in (0, 1)]
+        while not all(state.is_terminal for state in states):
+            for state in states:
+                if not state.is_terminal:
+                    state.apply_inplace(policy.choose(state))
+        self.assert_match(seen, 1e-12)
+        assert {key for key, _ in policy.slots} == {s.graph.key() for s in states}
+
+    def test_undone_moves_restepped_with_other_colors(self, monkeypatch):
+        cfg = tiny_cfg()
+        policy = self.policy(cfg, 2)
+        seen = self.scored(monkeypatch)
+        state = ColoringState(gen_er(20, 0.3, seed=2))
+        while state.t < 14:
+            state.apply_inplace(policy.choose(state))
+        for _ in range(8):
+            state.undo()
+        before = len(seen)
+        while not state.is_terminal:
+            actions = state.valid_actions().actions()
+            pick = actions.index(policy.choose(state))
+            state.apply_inplace(actions[(pick + 1) % len(actions)])  # not the net's pick
+        assert len(seen) > before
+        self.assert_match(seen, 1e-12)
+
+    def test_one_slot_term_per_scored_move(self, monkeypatch):
+        cfg = tiny_cfg()
+        policy = self.policy(cfg, 3)
+        seen = self.scored(monkeypatch)
+        terms = []
+        monkeypatch.setattr(selfplay, "slot_term",
+                            lambda net, cand: terms.append(1) or slot_term(net, cand))
+        g = gen_ws(512, 4, 0.5, seed=3)
+        colors = policy_colors(g, policy, cfg)
+        assert 0 < len(terms) <= len(seen) + colors
+        assert len(policy.slots) <= colors and {key for key, _ in policy.slots} == {g.key()}
+
+    def test_fresh_model_at_default_widths_decodes_greedy(self):
+        cfg = Config()
+        g = gen_ws(256, 4, 0.5, seed=1)
+        policy = Model(init_fastcolornet(cfg)).policy(cfg)
+        state = ColoringState(g, compute_order(g, cfg.order_kind))
+        while not state.is_terminal:
+            state.apply_inplace(policy.choose(state))
+        assert np.array_equal(state.color_of, greedy_color(g, cfg.order_kind).assignment)
 
 
 # -- training stacks -----------------------------------------------------

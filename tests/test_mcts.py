@@ -19,7 +19,6 @@ from fastcolor.fastcolornet import init_fastcolornet
 from fastcolor.graph import Graph, gen_er
 from fastcolor.mcts import (
     Node,
-    RolloutEvaluator,
     SearchTree,
     UniformEvaluator,
     backup,
@@ -32,7 +31,7 @@ from fastcolor.pipeline import Model, mcts_color
 from fastcolor.rng import make_rng
 from fastcolor.selfplay import bootstrap_oracle, play_segment
 
-from conftest import assert_same_state, complete_graph, crown_graph
+from conftest import RolloutEvaluator, assert_same_state, complete_graph, crown_graph
 
 
 def greedy_cum(g: Graph) -> np.ndarray:

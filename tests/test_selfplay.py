@@ -12,7 +12,7 @@ from fastcolor.errors import ParameterError, StateError
 from fastcolor.fastcolornet import init_fastcolornet
 from fastcolor.graph import Graph, gen_er
 from fastcolor import mcts, selfplay
-from fastcolor.mcts import RolloutEvaluator, UniformEvaluator
+from fastcolor.mcts import UniformEvaluator
 from fastcolor.pipeline import Model
 from fastcolor.rng import make_rng, mix64
 from fastcolor.selfplay import (
@@ -31,7 +31,7 @@ from fastcolor.selfplay import (
     sample_positions,
 )
 
-from conftest import complete_graph, crown_graph
+from conftest import RolloutEvaluator, complete_graph, crown_graph, policy_forward
 
 
 def small_cfg(**kw) -> Config:
@@ -391,7 +391,7 @@ class TestNetPolicy:
             raise AssertionError("network called on a forced move")
 
         monkeypatch.setattr(selfplay, "build_contexts", refuse)
-        monkeypatch.setattr(selfplay, "policy_forward", refuse)
+        monkeypatch.setattr(selfplay, "decode_probs", refuse)
         cfg = net_cfg()
         cache = EmbeddingCache()
         g = complete_graph(5)  # every move opens a new color
@@ -401,7 +401,7 @@ class TestNetPolicy:
     @pytest.mark.parametrize("seed", range(6))
     def test_decoded_colors_unchanged_by_forced_move_shortcut(self, seed):
         from fastcolor.coloring import ColoringState, compute_order
-        from fastcolor.fastcolornet import build_contexts, policy_forward
+        from fastcolor.fastcolornet import build_contexts
 
         cfg = net_cfg(order_kind=("unordered", "ordered", "dynamic")[seed % 3])
         store = init_fastcolornet(cfg, seed=seed)
