@@ -97,11 +97,13 @@ class ColoringState:
     when v is current, so the colors v may not take are read from them on
     demand, and stepping or undoing a move touches no neighbor.
     ``_order`` and ``_earlier`` are read-only and shared by every state
-    on the same (graph, order).
+    on the same (graph, order). ``undos`` counts the moves this object has
+    taken back, so a reader that saw the same ``undos`` and a ``t`` no
+    smaller than before knows every move it saw is still in place.
     """
 
     __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members",
-                 "_colors", "_order", "_earlier", "_padded")
+                 "undos", "_colors", "_order", "_earlier", "_padded", "__weakref__")
 
     def __init__(self, graph: Graph, order: np.ndarray | None = None):
         self.graph = graph
@@ -116,6 +118,7 @@ class ColoringState:
         self.color_of = np.full(graph.n, -1, dtype=np.int32)
         self.colors_used = 0
         self.color_members: list[list[int]] = []
+        self.undos = 0
         self._colors = [-1] * graph.n
         self._order, self._earlier = _order_lists(graph, order)
         self._padded: np.ndarray | None = None
@@ -128,6 +131,7 @@ class ColoringState:
         other.color_of = self.color_of.copy()
         other.colors_used = self.colors_used
         other.color_members = [m.copy() for m in self.color_members]
+        other.undos = 0
         other._colors = self._colors.copy()
         other._order = self._order
         other._earlier = self._earlier
@@ -174,6 +178,7 @@ class ColoringState:
         """Take back the last move, restoring the state before it."""
         if self.t == 0:
             raise StateError("no move to undo")
+        self.undos += 1
         self.t -= 1
         v = self._order[self.t]
         color = self._colors[v]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "NetOutput",
     "TrainMove",
     "graph_context",
+    "count_capped",
     "build_contexts",
     "init_fastcolornet",
     "v_forward",
@@ -64,7 +66,7 @@ __all__ = [
     "InferenceNet",
     "freeze",
     "slot_term",
-    "decode_probs",
+    "decode_logits",
     "policy_value_forward",
     "evaluate",
     "evaluate_frozen",
@@ -130,11 +132,23 @@ def graph_context(state: ColoringState, aset: ActionSet, cfg, dtype=np.float64) 
     return gc
 
 
+def count_capped(table: EmbeddingTable, cfg, t: int, existing: int) -> None:
+    """Count one move at ``t``, with ``existing`` valid existing colors, cut
+    to ``candidate_cap`` on ``table``; only a graph's first hit is logged."""
+    table.capped_moves += 1
+    if table.capped_moves == 1:
+        logger.warning("candidate cap %d hit on %s at t=%d (%d existing colors); "
+                       "later hits on this graph are counted, not logged",
+                       cfg.candidate_cap, table.graph_key, t, existing)
+
+
 def build_contexts(state: ColoringState, table: EmbeddingTable, cfg,
-                   aset: ActionSet | None = None) -> MoveInput:
+                   aset: ActionSet | None = None, count: bool = True) -> MoveInput:
     """Contexts for the current move, in the embedding table's dtype.
 
     ``aset`` is the state's action set, for a caller that already holds it.
+    A capped move is counted on the table (``count_capped``) unless
+    ``count`` is false, for a caller that counts only the moves it decides.
     """
     g = state.graph
     if table.tables.shape[1] != g.n:
@@ -154,12 +168,8 @@ def build_contexts(state: ColoringState, table: EmbeddingTable, cfg,
     if len(existing) + 1 > cfg.candidate_cap:
         existing = existing[: cfg.candidate_cap - 1]
         capped = True
-        # counted per table; only a graph's first hit is logged
-        table.capped_moves += 1
-        if table.capped_moves == 1:
-            logger.warning("candidate cap %d hit on %s at t=%d (%d existing colors); "
-                           "later hits on this graph are counted, not logged",
-                           cfg.candidate_cap, table.graph_key, t, len(aset.existing))
+        if count:
+            count_capped(table, cfg, t, len(aset.existing))
     k = len(existing) + 1
     # the m most recent members of each candidate, newest first
     flat = [-1] * (k * m)
@@ -487,23 +497,34 @@ def slot_term(net: InferenceNet, cand_set: np.ndarray) -> np.ndarray:
     return cand_set.reshape(-1) @ w[w.shape[0] - cand_set.size:]
 
 
-def decode_probs(net: InferenceNet, mi: MoveInput, slots: np.ndarray) -> np.ndarray:
-    """Candidate probabilities (K,) for one move, as ``policy_value_forward``
-    gives them up to rounding, with p.fc.0 split by its input columns.
+def decode_logits(net: InferenceNet, moves: list[MoveInput],
+                  slots: list[np.ndarray]) -> list[np.ndarray]:
+    """Float64 candidate logits (K_b,) per move, whose softmax is what
+    ``policy_value_forward`` gives up to rounding, with p.fc.0 split by
+    its input columns.
 
     The shared columns, ``gc`` and the pooled ``pc``, are multiplied once
-    for the move, not once per candidate. ``slots`` (K, p_width) holds each
-    candidate's ``slot_term``; the caller may keep those across moves.
+    per move, not once per candidate. ``slots[b]`` (K_b, p_width) holds
+    each candidate's ``slot_term``; the caller may keep those across
+    moves. All moves go through one stack, so a move's logits may differ
+    from a call with that move alone in the last bits; a one-move call
+    always gives the same bits.
     """
     layer = net.p_fc[0]
-    head = np.concatenate([mi.gc, mi.pc.mean(axis=0)])
-    shared, _ = dense_forward(head[None], layer.w[:head.size], layer.b)
-    y = slots + shared
+    sizes = [len(s) for s in slots]
+    heads = np.stack([np.concatenate([mi.gc, mi.pc.mean(axis=0)]) for mi in moves])
+    shared, _ = dense_forward(heads, layer.w[:heads.shape[1]], layer.b)
+    bounds = list(accumulate(sizes, initial=0))
+    y = np.concatenate(slots)
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        y[lo:hi] += shared[b]
     skip = None
     if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
-        skip = np.concatenate([np.broadcast_to(head, (len(y), head.size)),
-                               mi.cand_sets.reshape(len(y), -1)], axis=1)
-    return softmax(_policy_logits(net, _folded_block(y, layer, skip), [len(y)]))
+        skip = np.concatenate([np.repeat(heads, sizes, axis=0),
+                               np.concatenate([mi.cand_sets.reshape(k, -1)
+                                               for mi, k in zip(moves, sizes)])], axis=1)
+    logits = _policy_logits(net, _folded_block(y, layer, skip), sizes)
+    return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def policy_value_forward(net: InferenceNet,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Sequence
@@ -21,15 +22,22 @@ from .coloring import ColoringState, Outcome, compute_order, outcome_vs_baseline
 from .config import Config
 from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
-from .fastcolornet import build_contexts, decode_probs, freeze, slot_term
+from .fastcolornet import build_contexts, count_capped, decode_logits, freeze, slot_term
 from .graph import Graph
 from .mcts import SearchTree, evaluate_batch
+from .nn import softmax
 from .rng import make_rng, mix64
 
 logger = logging.getLogger(__name__)
 
 # Segments a self-play pass plays in lockstep; bounds the live search trees.
 LOCKSTEP_SEGMENTS = 64
+# Most non-forced moves NetPolicy drafts and scores in one forward.
+DRAFT_MAX = 32
+# A batched move's logits match its alone logits to a few units of roundoff
+# (relative to 1 + the largest |logit|); a top-two margin within this many
+# is decided by the exact one-move call instead.
+TIE_ULPS = 1024
 
 # -- fast policies ------------------------------------------------------
 
@@ -42,16 +50,36 @@ class GreedyPolicy:
 
 
 class NetPolicy:
-    """Greedy argmax of the P-network, no search.
+    """Greedy argmax of the P-network, no search, decoded speculatively.
 
     ``net`` is the frozen snapshot of ``store`` at ``version``; it is
     built here when the caller has none to share.
 
+    At a move it has no plan for, ``choose`` drafts moves with the greedy
+    heuristic on the caller's state, up to ``block`` non-forced ones,
+    building each one's contexts just before its draft move, and scores
+    them all in one ``decode_logits`` call. It keeps the drafts up to the
+    first one the net's argmax differs from, plus the net's own choice
+    there (its context was exact), undoes every draft, and answers the
+    following calls from that plan (``_Plan.follows``). A fully kept block
+    doubles ``block``, up to ``DRAFT_MAX``; a rejection or a new state
+    resets it to 1.
+
+    The choices are those of scoring each move alone. A move's logits in
+    a batch may differ from its alone logits in the last bits, so a
+    batched move whose top two logits lie within ``TIE_ULPS`` units of
+    roundoff is scored again alone, by the one-move call. With an
+    all-zero policy head (a fresh model) every logit is the head's bias
+    in any batch, so nothing is scored again.
+
     Each candidate color's member-slot term of the first policy layer
     (``slot_term``) is kept per (graph, color), with the member row it was
     computed from, and recomputed only when that row changes: in a
-    decode, once for the color that took the last vertex. A new color has
-    no members, so its term is 0.
+    decode, about once for the color that took the last vertex. A new
+    color has no members, so its term is 0.
+
+    ``drafted``, ``kept`` and ``forwards`` count the scored drafts, those
+    the net agreed with, and the ``decode_logits`` calls.
     """
 
     def __init__(self, store, cfg: Config, cache: "EmbeddingCache", version: int,
@@ -62,13 +90,85 @@ class NetPolicy:
         self.version = version
         self.net = net if net is not None else freeze(store, cfg)
         self.slots: dict[tuple[str, int], tuple[bytes, np.ndarray]] = {}
+        self._rescore_ties = bool(self.net.p_head[0].any())
+        self._eps = float(np.finfo(self.net.p_fc[0].w.dtype).eps)
+        self.block = 1
+        self.drafted = self.kept = self.forwards = 0
+        self._plan: _Plan | None = None
 
     def choose(self, state: ColoringState) -> int:
-        aset = state.valid_actions()
-        if not aset.existing:  # forced: only a new color is valid
-            return aset.new_color
-        table = self.cache.table(state.graph, self.store, self.cfg, self.version)
-        mi = build_contexts(state, table, self.cfg, aset)
+        plan = self._plan
+        if plan is None or not plan.follows(state):
+            plan = self._plan = self._draft(state)
+        i = state.t - plan.t0
+        if plan.capped[i]:  # once per answered move, not per drafted context
+            count_capped(plan.table, self.cfg, state.t, plan.capped[i])
+        return plan.actions[i]
+
+    def _draft(self, state: ColoringState) -> "_Plan":
+        if self._plan is None or self._plan.state() is not state:
+            self.block = 1
+        t0 = state.t
+        actions: list[int] = []
+        capped: list[int] = []
+        moves, slots, at = [], [], []
+        table = None
+        while True:
+            aset = state.valid_actions()
+            capped.append(0)
+            if aset.existing:
+                if table is None:
+                    table = self.cache.table(state.graph, self.store, self.cfg, self.version)
+                mi = build_contexts(state, table, self.cfg, aset, count=False)
+                if mi.capped:
+                    capped[-1] = len(aset.existing)
+                moves.append(mi)
+                slots.append(self._slot_rows(table, mi))
+                at.append(len(actions))
+            # greedy_action: the smallest valid color, a new one only when forced
+            actions.append(aset.existing[0] if aset.existing else aset.new_color)
+            if len(moves) == self.block:  # the last draft: no context is built after it
+                break
+            state.apply_inplace(actions[-1])
+            if state.is_terminal:
+                break
+        while state.t > t0:
+            state.undo()
+        if moves:
+            choices = self._decide(moves, slots, [actions[i] for i in at])
+            last = at[len(choices) - 1]
+            del actions[last + 1:], capped[last + 1:]
+            actions[last] = choices[-1]
+        # the table only to count capped moves, so a plan keeps no other alive
+        return _Plan(weakref.ref(state), state.undos, t0, actions, capped,
+                     table if any(capped) else None)
+
+    def _decide(self, moves: list, slots: list, drafts: list[int]) -> list[int]:
+        """The net's choices at the drafted moves, in order, up to the first
+        that differs from its draft; adapts ``block``."""
+        batch = decode_logits(self.net, moves, slots)
+        self.forwards += 1
+        self.drafted += len(moves)
+        choices: list[int] = []
+        for mi, row, lg, draft in zip(moves, slots, batch, drafts):
+            if not _near_tie(lg, self._eps):
+                pick = int(lg.argmax())
+            else:  # decide as the move alone does: argmax of its softmax
+                if len(moves) > 1 and self._rescore_ties:
+                    lg = decode_logits(self.net, [mi], [row])[0]
+                    self.forwards += 1
+                pick = int(np.argmax(softmax(lg)))
+            choices.append(mi.actions[pick])
+            if choices[-1] != draft:
+                break
+            self.kept += 1
+        full = len(choices) == len(moves) and choices[-1] == drafts[-1]
+        self.block = min(2 * self.block, DRAFT_MAX) if full else 1
+        return choices
+
+    def _slot_rows(self, table: EmbeddingTable, mi) -> np.ndarray:
+        """(K, p_width) slot terms of ``mi``'s candidates, from the kept
+        ones where a color's member row is unchanged."""
         slots = np.zeros((len(mi.actions), self.net.p_fc[0].w.shape[1]), dtype=mi.gc.dtype)
         for ci, color in enumerate(mi.actions[:-1]):
             key, members = (table.graph_key, color), mi.cand_vertices[ci].tobytes()
@@ -76,7 +176,52 @@ class NetPolicy:
             if hit is None or hit[0] != members:
                 hit = self.slots[key] = (members, slot_term(self.net, mi.cand_sets[ci]))
             slots[ci] = hit[1]
-        return int(mi.actions[int(np.argmax(decode_probs(self.net, mi, slots)))])
+        return slots
+
+
+def _near_tie(logits: np.ndarray, eps: float) -> bool:
+    """Whether the top two logits lie within ``TIE_ULPS`` units of
+    roundoff, relative to 1 + the largest magnitude. Outside that, the
+    argmax of the logits is the argmax of their softmax."""
+    if logits.size < 2:
+        return False
+    ranked = sorted(logits.tolist())  # a move's few candidates: cheaper than NumPy
+    return ranked[-1] - ranked[-2] <= TIE_ULPS * eps * (1.0 + max(ranked[-1], -ranked[0]))
+
+
+@dataclass
+class _Plan:
+    """Moves a ``NetPolicy`` decided for one state from move ``t0`` on.
+
+    ``actions[i]`` is the choice at move t0 + i and ``capped[i]`` the
+    count of valid existing colors there when the move was cut to
+    ``candidate_cap``, else 0. The state is held weakly, so a plan never
+    keeps a finished decode alive; ``undos`` is its undo count once the
+    drafts were taken back.
+    """
+
+    state: weakref.ref
+    undos: int
+    t0: int
+    actions: list[int]
+    capped: list[int]
+    table: EmbeddingTable | None
+    checked: int = 0  # moves from t0 on already seen to follow the plan
+
+    def follows(self, state: ColoringState) -> bool:
+        """Whether the plan answers ``state``'s current move: the same
+        object, no undo since, ``t`` inside the plan, and every move since
+        ``t0`` as planned (checked once each)."""
+        if self.state() is not state or state.undos != self.undos:
+            return False
+        i = state.t - self.t0
+        if not 0 <= i < len(self.actions):
+            return False
+        while self.checked < i:
+            if state.color_of[state.order[self.t0 + self.checked]] != self.actions[self.checked]:
+                return False
+            self.checked += 1
+        return True
 
 
 class EmbeddingCache:

@@ -10,6 +10,7 @@ from fastcolor.embedding import encode_onehot
 from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import InferenceNet, MoveInput, _policy_probs
 from fastcolor.graph import Graph
+from fastcolor.nn import ParamStore
 
 
 def complete_graph(n: int) -> Graph:
@@ -52,6 +53,29 @@ def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) ->
     vec = np.zeros(size, dtype=dtype)
     vec[encode_onehot(value, maximum, size)] = 1.0
     return vec
+
+
+def randomize_inference_params(store: ParamStore, rng) -> None:
+    """Batchnorm statistics away from the identity and non-zero heads."""
+    for name in store.names():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf in ("gamma", "beta", "_running_mean") or ".head." in name:
+            store[name] = rng.normal(size=store[name].shape)
+        elif leaf == "_running_var":
+            store[name] = rng.uniform(0.1, 4.0, size=store[name].shape)
+
+
+def random_move(cfg, k: int, rng) -> MoveInput:
+    """A move with k candidates and random contexts in the config dtype."""
+    w, m, dim = cfg.window, cfg.color_set_size, cfg.embed_dim
+
+    def draw(*shape):
+        return rng.normal(size=shape).astype(cfg.dtype)
+
+    return MoveInput(table=None, graph=None, gc=draw(4 * cfg.feature_bins),
+                     pc=draw(2 * w, dim), pc_vertices=np.full(2 * w, -1),
+                     cand_sets=draw(k, m, dim), cand_vertices=np.full((k, m), -1),
+                     actions=list(range(k)))
 
 
 def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:

@@ -14,7 +14,6 @@ from fastcolor.config import Config
 from fastcolor.embedding import compute_embeddings, encode_onehot
 from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import (
-    MoveInput,
     TrainMove,
     _stack_forward,
     build_contexts,
@@ -35,12 +34,20 @@ import fastcolor
 from fastcolor import embedding, fastcolornet, nn, selfplay
 from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
-from fastcolor.nn import AdamState, ParamStore, dense_forward, finite_diff_check, softmax
+from fastcolor.nn import AdamState, dense_forward, finite_diff_check, softmax
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
 from fastcolor.selfplay import EmbeddingCache, NetPolicy
 
-from conftest import complete_graph, cycle_graph, onehot_vector, path_graph, policy_forward
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    onehot_vector,
+    path_graph,
+    policy_forward,
+    random_move,
+    randomize_inference_params,
+)
 
 
 def tiny_cfg(**kw) -> Config:
@@ -556,29 +563,6 @@ class TestTrainStep:
 # -- frozen inference ----------------------------------------------------
 
 
-def randomize_inference_params(store: ParamStore, rng) -> None:
-    """Batchnorm statistics away from the identity and non-zero heads."""
-    for name in store.names():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf in ("gamma", "beta", "_running_mean") or ".head." in name:
-            store[name] = rng.normal(size=store[name].shape)
-        elif leaf == "_running_var":
-            store[name] = rng.uniform(0.1, 4.0, size=store[name].shape)
-
-
-def random_move(cfg, k: int, rng) -> MoveInput:
-    """A move with k candidates and random contexts in the config dtype."""
-    w, m, dim = cfg.window, cfg.color_set_size, cfg.embed_dim
-
-    def draw(*shape):
-        return rng.normal(size=shape).astype(cfg.dtype)
-
-    return MoveInput(table=None, graph=None, gc=draw(4 * cfg.feature_bins),
-                     pc=draw(2 * w, dim), pc_vertices=np.full(2 * w, -1),
-                     cand_sets=draw(k, m, dim), cand_vertices=np.full((k, m), -1),
-                     actions=list(range(k)))
-
-
 class TestFrozenInference:
     @given(n=st.integers(2, 12), p=st.floats(0.1, 0.9), seed=st.integers(0, 999),
            dtype=st.sampled_from(["float64", "float32"]))
@@ -724,16 +708,17 @@ class TestSplitDecode:
 
     @staticmethod
     def scored(mp) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(split path, reference) probabilities of every move NetPolicy scores."""
+        """(split path, reference) probabilities of every move NetPolicy
+        scores, drafts it rejects included."""
         seen = []
-        split = selfplay.decode_probs
+        split = selfplay.decode_logits
 
-        def spy(net, mi, slots):
-            p = split(net, mi, slots)
-            seen.append((p, policy_forward(net, mi)))
-            return p
+        def spy(net, moves, slots):
+            logits = split(net, moves, slots)
+            seen.extend((softmax(lg), policy_forward(net, mi)) for lg, mi in zip(logits, moves))
+            return logits
 
-        mp.setattr(selfplay, "decode_probs", spy)
+        mp.setattr(selfplay, "decode_logits", spy)
         return seen
 
     @staticmethod

@@ -5,12 +5,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fastcolor.config import Config
-from fastcolor.coloring import Outcome
+from fastcolor.coloring import HEURISTIC_KINDS, ColoringState, Outcome, compute_order
 from fastcolor.errors import ParameterError, StateError
-from fastcolor.fastcolornet import init_fastcolornet
-from fastcolor.graph import Graph, gen_er
+from fastcolor.fastcolornet import build_contexts, decode_logits, init_fastcolornet, slot_term
+from fastcolor.graph import Graph, gen_er, gen_ws
+from fastcolor.nn import softmax
 from fastcolor import mcts, selfplay
 from fastcolor.mcts import UniformEvaluator
 from fastcolor.pipeline import Model
@@ -31,7 +33,13 @@ from fastcolor.selfplay import (
     sample_positions,
 )
 
-from conftest import RolloutEvaluator, complete_graph, crown_graph, policy_forward
+from conftest import (
+    RolloutEvaluator,
+    complete_graph,
+    crown_graph,
+    policy_forward,
+    randomize_inference_params,
+)
 
 
 def small_cfg(**kw) -> Config:
@@ -391,7 +399,7 @@ class TestNetPolicy:
             raise AssertionError("network called on a forced move")
 
         monkeypatch.setattr(selfplay, "build_contexts", refuse)
-        monkeypatch.setattr(selfplay, "decode_probs", refuse)
+        monkeypatch.setattr(selfplay, "decode_logits", refuse)
         cfg = net_cfg()
         cache = EmbeddingCache()
         g = complete_graph(5)  # every move opens a new color
@@ -421,6 +429,174 @@ class TestNetPolicy:
             assert policy.choose(state) == want
             state.apply_inplace(want)
         assert forced >= 1
+
+
+def alone_choice(policy, state) -> int:
+    """Reference decode step: the move scored by itself with the one-move
+    ``decode_logits`` call and freshly computed slot terms."""
+    aset = state.valid_actions()
+    if not aset.existing:
+        return aset.new_color
+    table = policy.cache.table(state.graph, policy.store, policy.cfg, policy.version)
+    mi = build_contexts(state, table, policy.cfg, aset, count=False)
+    slots = np.zeros((len(mi.actions), policy.net.p_fc[0].w.shape[1]), dtype=mi.gc.dtype)
+    for ci in range(len(mi.actions) - 1):
+        slots[ci] = slot_term(policy.net, mi.cand_sets[ci])
+    (logits,) = decode_logits(policy.net, [mi], [slots])
+    return mi.actions[int(np.argmax(softmax(logits)))]
+
+
+def random_head_policy(cfg, seed) -> NetPolicy:
+    store = init_fastcolornet(cfg, seed=seed)
+    randomize_inference_params(store, make_rng(seed))
+    return NetPolicy(store, cfg, EmbeddingCache(), version=0)
+
+
+def decode(policy, g, cfg) -> list[int]:
+    state = ColoringState(g, compute_order(g, cfg.order_kind))
+    actions = []
+    while not state.is_terminal:
+        actions.append(policy.choose(state))
+        state.apply_inplace(actions[-1])
+    return actions
+
+
+class TestSpeculativeDecode:
+    """``NetPolicy`` drafts greedy moves and keeps the prefix its net agrees
+    with; every answer must be the move-by-move decode's."""
+
+    def assert_answers_alone(self, policy, state) -> int:
+        want = alone_choice(policy, state)
+        assert policy.choose(state) == want
+        return want
+
+    @given(kind=st.sampled_from(["er", "ws"]), n=st.integers(6, 48), seed=st.integers(0, 999),
+           order_kind=st.sampled_from(HEURISTIC_KINDS), cap=st.integers(2, 4),
+           dtype=st.sampled_from(["float64", "float32"]), width=st.sampled_from([16, 50]))
+    @settings(max_examples=40, deadline=None)
+    def test_same_actions_as_move_by_move(self, kind, n, seed, order_kind, cap, dtype, width):
+        # p_width 50 is p.fc.0's input width at these sizes: a residual first block
+        cfg = net_cfg(dtype=dtype, order_kind=order_kind, candidate_cap=cap, p_width=width)
+        g = gen_er(n, 0.4, seed) if kind == "er" else gen_ws(n, 4, 0.5, seed)
+        policy = random_head_policy(cfg, seed)
+        got = decode(policy, g, cfg)
+        state = ColoringState(g, compute_order(g, cfg.order_kind))
+        for a in got:
+            assert alone_choice(policy, state) == a
+            state.apply_inplace(a)
+        assert policy.kept <= policy.drafted and policy.forwards >= (policy.drafted > 0)
+
+    def test_fresh_model_keeps_every_draft(self):
+        cfg = net_cfg()
+        g = gen_ws(300, 4, 0.5, seed=1)
+        policy = NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0)
+        decode(policy, g, cfg)
+        assert policy.kept == policy.drafted > 0
+        assert policy.forwards < policy.drafted / 8 and policy.block == selfplay.DRAFT_MAX
+
+    def test_near_tie_decided_alone(self, monkeypatch):
+        # batched scores that put another candidate a hair above the net's
+        # pick: inside the tie bound, so the one-move call decides
+        cfg = net_cfg(candidate_cap=3)
+        g = gen_ws(200, 4, 0.5, seed=4)
+        want = decode(random_head_policy(cfg, 4), g, cfg)
+        split = selfplay.decode_logits
+        calls = {"batched": 0, "alone": 0}
+
+        def tie(net, moves, slots):
+            logits = split(net, moves, slots)
+            if len(moves) == 1:
+                calls["alone"] += 1
+                return logits
+            calls["batched"] += 1
+            for lg in logits:
+                top, other = int(np.argmax(lg)), int(np.argmin(lg))
+                lg[other] = lg[top] + 1e-14 * (1 + abs(lg[top]))
+            return logits
+
+        monkeypatch.setattr(selfplay, "decode_logits", tie)
+        policy = random_head_policy(cfg, 4)
+        assert decode(policy, g, cfg) == want
+        assert calls["batched"] > 0 and calls["alone"] > calls["batched"]
+
+    @staticmethod
+    def restep(state, t_end: int, stale: int) -> None:
+        """Step to ``t_end`` without asking, giving ``stale`` to a neighbor
+        of move t_end's vertex where valid, else a new color, so that move
+        no longer offers ``stale``."""
+        v = state.order[t_end]
+        while state.t < t_end:
+            u = state.current_vertex()
+            ok = state.graph.has_edge(u, v) and stale in state.valid_actions().existing
+            state.apply_inplace(stale if ok else state.colors_used)
+
+    def test_undone_mid_plan_and_restepped(self):
+        cfg = net_cfg()
+        policy = NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0)
+        state = ColoringState(gen_ws(80, 4, 0.5, seed=4))
+        while state.t < 40:  # a fresh model agrees with greedy: long plans
+            state.apply_inplace(self.assert_answers_alone(policy, state))
+        stale = self.assert_answers_alone(policy, state)  # the plan has seen every move
+        for _ in range(5):
+            state.undo()
+        self.restep(state, 40, stale)
+        assert alone_choice(policy, state) != stale
+        while not state.is_terminal:
+            state.apply_inplace(self.assert_answers_alone(policy, state))
+
+    def test_other_color_than_advised(self):
+        cfg = net_cfg()
+        policy = random_head_policy(cfg, 4)
+        state = ColoringState(gen_ws(60, 4, 0.5, seed=4))
+        while not state.is_terminal:
+            actions = state.valid_actions().actions()
+            pick = actions.index(self.assert_answers_alone(policy, state))
+            step = 1 if state.t % 5 == 2 else 0  # now and then not the net's pick
+            state.apply_inplace(actions[(pick + step) % len(actions)])
+
+    def test_two_states_interleaved(self):
+        cfg = net_cfg()
+        policy = random_head_policy(cfg, 4)
+        states = [ColoringState(gen_ws(50, 4, 0.5, seed)) for seed in (4, 5)]
+        states.append(ColoringState(states[0].graph))  # same graph, second state
+        while not all(state.is_terminal for state in states):
+            for i, state in enumerate(states):
+                for _ in range(i + 1):
+                    if not state.is_terminal:
+                        state.apply_inplace(self.assert_answers_alone(policy, state))
+
+    def test_new_state_at_same_t(self):
+        cfg = net_cfg()
+        policy = NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0)
+        g = gen_ws(80, 4, 0.5, seed=4)
+        first = ColoringState(g)
+        while first.t < 40:
+            first.apply_inplace(self.assert_answers_alone(policy, first))
+        stale = self.assert_answers_alone(policy, first)  # the plan has seen every move
+        second = ColoringState(g)
+        for a in first.color_of[first.order[:30]]:  # same graph and t, other colors
+            second.apply_inplace(int(a))
+        self.restep(second, 40, stale)
+        second.undos = first.undos  # counters may match: only identity tells them apart
+        assert alone_choice(policy, second) != stale
+        while not second.is_terminal:
+            second.apply_inplace(self.assert_answers_alone(policy, second))
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_capped_moves_counted_once_per_decided_move(self, cap, caplog):
+        cfg = net_cfg(candidate_cap=cap)
+        g = gen_ws(120, 6, 0.5, seed=cap)
+        policy = random_head_policy(cfg, 7)
+        with caplog.at_level(logging.WARNING):
+            actions = decode(policy, g, cfg)
+        state = ColoringState(g, compute_order(g, cfg.order_kind))
+        capped = 0
+        for a in actions:
+            capped += len(state.valid_actions().existing) + 1 > cap
+            state.apply_inplace(a)
+        assert policy.kept < policy.drafted  # some drafts were rejected and redrafted
+        assert policy.cache.table(g, policy.store, cfg, 0).capped_moves == capped > 0
+        assert sum("candidate cap" in r.getMessage() for r in caplog.records) == 1
 
 
 class TestRunSelfplay:
