@@ -108,7 +108,11 @@ class Config:
         if self.walk_length < 0 or self.walk_budget < 0:
             raise ParameterError("walk_length and walk_budget must be >= 0")
         if self.dtype not in ("float32", "float64"):
-            raise ParameterError(f"dtype must be float32 or float64")
+            raise ParameterError("dtype must be float32 or float64")
+        if self.candidate_cap < 2:  # one slot is the new color: room for an existing one
+            raise ParameterError("candidate_cap must be >= 2")
+        if min(self.window, self.feature_bins, self.color_set_size) < 1:
+            raise ParameterError("window, feature_bins and color_set_size must be >= 1")
         if self.seq_filter % 2 == 0:
             raise ParameterError("seq_filter must be odd")
         if self.order_kind not in HEURISTIC_KINDS:

@@ -65,7 +65,6 @@ __all__ = [
     "p_forward",
     "InferenceNet",
     "freeze",
-    "slot_term",
     "decode_logits",
     "policy_value_forward",
     "evaluate",
@@ -454,12 +453,31 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
     return x
 
 
-def _policy_logits(net: InferenceNet, feats: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """The policy net after its first block: ``feats`` are the p.fc.0
-    outputs of every move's candidate rows, concatenated, ``sizes`` the
-    moves' candidate counts. p.seq convolves each move's rows as one
-    zero-padded sequence, as p_forward does. Returns float64 logits (N,)."""
-    feats = _folded_stack(feats, net.p_fc[1:], dense_forward)
+def _policy_scores(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
+                   gc: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Float64 candidate logits of every move, concatenated, and the moves'
+    candidate counts; the policy half of ``policy_value_forward``.
+
+    ``pc`` (B, 2w, D) and ``gc`` (B, G) are the moves' contexts, stacked.
+    p.fc.0 is split by its input columns: the shared ones, ``gc`` and the
+    pooled ``pc``, are multiplied once per move, and the member-slot ones
+    once per candidate row, in one product over the whole batch. p.seq
+    convolves each move's rows as one zero-padded sequence, as p_forward
+    does. All moves go through one stack, so a move's logits may differ
+    from a call with that move alone in the last bits.
+    """
+    sizes = [mi.cand_sets.shape[0] for mi in moves]
+    layer = net.p_fc[0]
+    head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
+    split = head.shape[1]
+    shared, _ = dense_forward(head, layer.w[:split], layer.b)
+    slots = np.concatenate([mi.cand_sets.reshape(k, -1) for mi, k in zip(moves, sizes)])
+    y = slots @ layer.w[split:]
+    y += np.repeat(shared, sizes, axis=0)
+    skip = None
+    if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
+        skip = np.concatenate([np.repeat(head, sizes, axis=0), slots], axis=1)
+    feats = _folded_stack(_folded_block(y, layer, skip), net.p_fc[1:], dense_forward)
     if len(sizes) == 1:  # one sequence: no padding to keep apart
         feats = _folded_stack(feats[None], net.p_seq, conv1d_forward)[0]
     else:
@@ -467,63 +485,17 @@ def _policy_logits(net: InferenceNet, feats: np.ndarray, sizes: list[int]) -> np
         feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
                               grid[..., None])[grid]
     scores, _ = dense_forward(feats, *net.p_head)
-    return scores[:, 0].astype(np.float64)
+    return scores[:, 0].astype(np.float64), sizes
 
 
-def _policy_probs(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
-                  gc: np.ndarray) -> list[np.ndarray]:
-    # ``pc`` (B, 2w, D) and ``gc`` (B, G) are the moves' contexts, stacked.
-    sizes = [mi.cand_sets.shape[0] for mi in moves]
-    head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
-    x = np.concatenate([np.repeat(head, sizes, axis=0),
-                        np.concatenate([mi.cand_sets.reshape(k, -1)
-                                        for mi, k in zip(moves, sizes)])], axis=1)
-    logits = _policy_logits(net, _folded_stack(x, net.p_fc[:1], dense_forward), sizes)
-    # float64 normalization, so equal logits give exactly uniform priors:
-    # each move's softmax, bit for bit. The sums run move by move because
-    # np.add.reduceat adds in another order than softmax's e.sum().
-    ends = np.cumsum(sizes).tolist()
-    starts = [0] + ends[:-1]
-    e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
-    p = e / np.repeat([e[a:b].sum() for a, b in zip(starts, ends)], sizes)
-    return [p[a:b] for a, b in zip(starts, ends)]
-
-
-def slot_term(net: InferenceNet, cand_set: np.ndarray) -> np.ndarray:
-    """One candidate's member-slot part of p.fc.0: its (m, D) embedding
-    rows, flattened, times the slot rows of the layer's weight. It changes
-    only when the candidate color's m most recent members do."""
-    w = net.p_fc[0].w
-    return cand_set.reshape(-1) @ w[w.shape[0] - cand_set.size:]
-
-
-def decode_logits(net: InferenceNet, moves: list[MoveInput],
-                  slots: list[np.ndarray]) -> list[np.ndarray]:
-    """Float64 candidate logits (K_b,) per move, whose softmax is what
-    ``policy_value_forward`` gives up to rounding, with p.fc.0 split by
-    its input columns.
-
-    The shared columns, ``gc`` and the pooled ``pc``, are multiplied once
-    per move, not once per candidate. ``slots[b]`` (K_b, p_width) holds
-    each candidate's ``slot_term``; the caller may keep those across
-    moves. All moves go through one stack, so a move's logits may differ
-    from a call with that move alone in the last bits; a one-move call
-    always gives the same bits.
-    """
-    layer = net.p_fc[0]
-    sizes = [len(s) for s in slots]
-    heads = np.stack([np.concatenate([mi.gc, mi.pc.mean(axis=0)]) for mi in moves])
-    shared, _ = dense_forward(heads, layer.w[:heads.shape[1]], layer.b)
+def decode_logits(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]:
+    """Float64 candidate logits (K_b,) per move, from the policy network
+    alone; their softmax is what ``policy_value_forward`` gives, bit for
+    bit. A move's logits may differ from a call with that move alone in
+    the last bits; a one-move call is the reference."""
+    logits, sizes = _policy_scores(net, moves, np.stack([mi.pc for mi in moves]),
+                                   np.stack([mi.gc for mi in moves]))
     bounds = list(accumulate(sizes, initial=0))
-    y = np.concatenate(slots)
-    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        y[lo:hi] += shared[b]
-    skip = None
-    if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
-        skip = np.concatenate([np.repeat(heads, sizes, axis=0),
-                               np.concatenate([mi.cand_sets.reshape(k, -1)
-                                               for mi, k in zip(moves, sizes)])], axis=1)
-    logits = _policy_logits(net, _folded_block(y, layer, skip), sizes)
     return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -536,7 +508,15 @@ def policy_value_forward(net: InferenceNet,
     seq = _folded_stack(pc, net.v_seq, conv1d_forward)
     h = np.concatenate([gc, seq.mean(axis=1)], axis=1)
     logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
-    return _policy_probs(net, moves, pc, gc), softmax(logits.astype(np.float64))
+    scores, sizes = _policy_scores(net, moves, pc, gc)
+    # float64 normalization, so equal logits give exactly uniform priors:
+    # each move's softmax, bit for bit. The sums run move by move because
+    # np.add.reduceat adds in another order than softmax's e.sum().
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), sizes))
+    p = e / np.repeat([e[a:b].sum() for a, b in zip(starts, ends)], sizes)
+    return [p[a:b] for a, b in zip(starts, ends)], softmax(logits.astype(np.float64))
 
 
 def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],

@@ -22,7 +22,7 @@ from .coloring import ColoringState, Outcome, compute_order, outcome_vs_baseline
 from .config import Config
 from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
-from .fastcolornet import build_contexts, count_capped, decode_logits, freeze, slot_term
+from .fastcolornet import build_contexts, count_capped, decode_logits, freeze
 from .graph import Graph
 from .mcts import SearchTree, evaluate_batch
 from .nn import softmax
@@ -72,12 +72,6 @@ class NetPolicy:
     all-zero policy head (a fresh model) every logit is the head's bias
     in any batch, so nothing is scored again.
 
-    Each candidate color's member-slot term of the first policy layer
-    (``slot_term``) is kept per (graph, color), with the member row it was
-    computed from, and recomputed only when that row changes: in a
-    decode, about once for the color that took the last vertex. A new
-    color has no members, so its term is 0.
-
     ``drafted``, ``kept`` and ``forwards`` count the scored drafts, those
     the net agreed with, and the ``decode_logits`` calls.
     """
@@ -89,7 +83,6 @@ class NetPolicy:
         self.cache = cache
         self.version = version
         self.net = net if net is not None else freeze(store, cfg)
-        self.slots: dict[tuple[str, int], tuple[bytes, np.ndarray]] = {}
         self._rescore_ties = bool(self.net.p_head[0].any())
         self._eps = float(np.finfo(self.net.p_fc[0].w.dtype).eps)
         self.block = 1
@@ -111,7 +104,7 @@ class NetPolicy:
         t0 = state.t
         actions: list[int] = []
         capped: list[int] = []
-        moves, slots, at = [], [], []
+        moves, at = [], []
         table = None
         while True:
             aset = state.valid_actions()
@@ -123,7 +116,6 @@ class NetPolicy:
                 if mi.capped:
                     capped[-1] = len(aset.existing)
                 moves.append(mi)
-                slots.append(self._slot_rows(table, mi))
                 at.append(len(actions))
             # greedy_action: the smallest valid color, a new one only when forced
             actions.append(aset.existing[0] if aset.existing else aset.new_color)
@@ -135,7 +127,7 @@ class NetPolicy:
         while state.t > t0:
             state.undo()
         if moves:
-            choices = self._decide(moves, slots, [actions[i] for i in at])
+            choices = self._decide(moves, [actions[i] for i in at])
             last = at[len(choices) - 1]
             del actions[last + 1:], capped[last + 1:]
             actions[last] = choices[-1]
@@ -143,19 +135,19 @@ class NetPolicy:
         return _Plan(weakref.ref(state), state.undos, t0, actions, capped,
                      table if any(capped) else None)
 
-    def _decide(self, moves: list, slots: list, drafts: list[int]) -> list[int]:
+    def _decide(self, moves: list, drafts: list[int]) -> list[int]:
         """The net's choices at the drafted moves, in order, up to the first
         that differs from its draft; adapts ``block``."""
-        batch = decode_logits(self.net, moves, slots)
+        batch = decode_logits(self.net, moves)
         self.forwards += 1
         self.drafted += len(moves)
         choices: list[int] = []
-        for mi, row, lg, draft in zip(moves, slots, batch, drafts):
+        for mi, lg, draft in zip(moves, batch, drafts):
             if not _near_tie(lg, self._eps):
                 pick = int(lg.argmax())
             else:  # decide as the move alone does: argmax of its softmax
                 if len(moves) > 1 and self._rescore_ties:
-                    lg = decode_logits(self.net, [mi], [row])[0]
+                    lg = decode_logits(self.net, [mi])[0]
                     self.forwards += 1
                 pick = int(np.argmax(softmax(lg)))
             choices.append(mi.actions[pick])
@@ -165,18 +157,6 @@ class NetPolicy:
         full = len(choices) == len(moves) and choices[-1] == drafts[-1]
         self.block = min(2 * self.block, DRAFT_MAX) if full else 1
         return choices
-
-    def _slot_rows(self, table: EmbeddingTable, mi) -> np.ndarray:
-        """(K, p_width) slot terms of ``mi``'s candidates, from the kept
-        ones where a color's member row is unchanged."""
-        slots = np.zeros((len(mi.actions), self.net.p_fc[0].w.shape[1]), dtype=mi.gc.dtype)
-        for ci, color in enumerate(mi.actions[:-1]):
-            key, members = (table.graph_key, color), mi.cand_vertices[ci].tobytes()
-            hit = self.slots.get(key)
-            if hit is None or hit[0] != members:
-                hit = self.slots[key] = (members, slot_term(self.net, mi.cand_sets[ci]))
-            slots[ci] = hit[1]
-        return slots
 
 
 def _near_tie(logits: np.ndarray, eps: float) -> bool:

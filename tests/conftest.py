@@ -8,7 +8,7 @@ import pytest
 from fastcolor.coloring import ActionSet, ColoringState, outcome_vs_baseline
 from fastcolor.embedding import encode_onehot
 from fastcolor.errors import ContractError
-from fastcolor.fastcolornet import InferenceNet, MoveInput, _policy_probs
+from fastcolor.fastcolornet import InferenceNet, MoveInput, policy_value_forward
 from fastcolor.graph import Graph
 from fastcolor.nn import ParamStore
 
@@ -81,7 +81,7 @@ def random_move(cfg, k: int, rng) -> MoveInput:
 def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    return _policy_probs(net, [mi], mi.pc[None], mi.gc[None])[0]
+    return policy_value_forward(net, [mi])[0][0]
 
 
 class RolloutEvaluator:

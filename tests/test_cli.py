@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,17 @@ class TestTrain:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "iteration,loss,eval_avg_colors,win_rate,wall_clock"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("line", ["candidate_cap = 1", "window = 0", "feature_bins = 0",
+                                      "color_set_size = 0"])
+    def test_unsound_config_fails_cleanly(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        path = tmp_path / "bad.cfg"
+        path.write_text(re.sub(rf"^{key} = .*$", line, tiny_cfg().to_text(), flags=re.M))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEval:

@@ -70,8 +70,18 @@ def test_validation():
         with pytest.raises(ParameterError):
             Config(**bad)
     for edge in (dict(walk_rate=0.0), dict(walk_rate=1.0), dict(walk_length=0),
-                 dict(walk_budget=0)):
+                 dict(walk_budget=0),
+                 dict(candidate_cap=2, window=1, feature_bins=1, color_set_size=1)):
         Config(**edge)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(candidate_cap=1), dict(candidate_cap=0), dict(candidate_cap=-3), dict(window=0),
+    dict(feature_bins=0), dict(color_set_size=0), dict(window=-1),
+])
+def test_unsound_sizes_rejected(bad):
+    with pytest.raises(ParameterError, match=next(iter(bad))):
+        Config(**bad)
 
 
 def test_expand_sources_range():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fastcolor.config import Config
 from fastcolor.coloring import HEURISTIC_KINDS, ColoringState, Outcome, compute_order
 from fastcolor.errors import ParameterError, StateError
-from fastcolor.fastcolornet import build_contexts, decode_logits, init_fastcolornet, slot_term
+from fastcolor.fastcolornet import build_contexts, decode_logits, init_fastcolornet
 from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.nn import softmax
 from fastcolor import mcts, selfplay
@@ -433,16 +433,13 @@ class TestNetPolicy:
 
 def alone_choice(policy, state) -> int:
     """Reference decode step: the move scored by itself with the one-move
-    ``decode_logits`` call and freshly computed slot terms."""
+    ``decode_logits`` call."""
     aset = state.valid_actions()
     if not aset.existing:
         return aset.new_color
     table = policy.cache.table(state.graph, policy.store, policy.cfg, policy.version)
     mi = build_contexts(state, table, policy.cfg, aset, count=False)
-    slots = np.zeros((len(mi.actions), policy.net.p_fc[0].w.shape[1]), dtype=mi.gc.dtype)
-    for ci in range(len(mi.actions) - 1):
-        slots[ci] = slot_term(policy.net, mi.cand_sets[ci])
-    (logits,) = decode_logits(policy.net, [mi], [slots])
+    (logits,) = decode_logits(policy.net, [mi])
     return mi.actions[int(np.argmax(softmax(logits)))]
 
 
@@ -503,8 +500,8 @@ class TestSpeculativeDecode:
         split = selfplay.decode_logits
         calls = {"batched": 0, "alone": 0}
 
-        def tie(net, moves, slots):
-            logits = split(net, moves, slots)
+        def tie(net, moves):
+            logits = split(net, moves)
             if len(moves) == 1:
                 calls["alone"] += 1
                 return logits
@@ -620,8 +617,9 @@ class TestRunSelfplay:
         assert row["z"] in {"win", "tie", "lose"}
 
     def test_candidate_cap_logged_per_graph_and_pass(self, caplog):
-        gs = [Graph.from_edges(8, []), Graph.from_edges(9, [])]
-        cfg = net_cfg(candidate_cap=1, move_sample_rate=0.5, mcts_segment=2, simulations=4)
+        # a triangle, then isolated vertices: every later move offers 3 existing colors
+        gs = [Graph.from_edges(n, [(0, 1), (1, 2), (0, 2)]) for n in (8, 9)]
+        cfg = net_cfg(candidate_cap=2, move_sample_rate=0.5, mcts_segment=2, simulations=4)
         model = Model(init_fastcolornet(cfg))
         with caplog.at_level(logging.WARNING):
             run_selfplay(gs, cfg, lambda g: model.evaluator(g, cfg), bootstrap_oracle(),
