@@ -113,8 +113,10 @@ class Config:
             raise ParameterError("candidate_cap must be >= 2")
         if min(self.window, self.feature_bins, self.color_set_size) < 1:
             raise ParameterError("window, feature_bins and color_set_size must be >= 1")
-        if self.seq_filter % 2 == 0:
-            raise ParameterError("seq_filter must be odd")
+        if min(self.v_layers, self.p_layers, self.seq_layers) < 1:
+            raise ParameterError("v_layers, p_layers and seq_layers must be >= 1")
+        if self.seq_filter < 1 or self.seq_filter % 2 == 0:
+            raise ParameterError("seq_filter must be odd and >= 1")
         if self.order_kind not in HEURISTIC_KINDS:
             raise ParameterError(f"unknown order kind {self.order_kind!r}")
 

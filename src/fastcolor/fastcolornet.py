@@ -40,11 +40,13 @@ from .nn import (
     batchnorm_forward,
     conv1d_backward,
     conv1d_forward,
+    conv1d_ragged_forward,
     dense_backward,
     dense_forward,
     init_batchnorm,
     init_conv1d,
     init_dense,
+    ragged_taps,
     softmax,
 )
 from .rng import make_rng
@@ -429,27 +431,22 @@ def freeze(store: ParamStore, cfg) -> InferenceNet:
     )
 
 
-def _folded_block(y: np.ndarray, layer: FoldedLayer, skip: np.ndarray | None = None,
-                  mask: np.ndarray | None = None) -> np.ndarray:
+def _folded_block(y: np.ndarray, layer: FoldedLayer,
+                  skip: np.ndarray | None = None) -> np.ndarray:
     """relu(y * scale + shift) (+ ``skip``), in place, for a layer's output y."""
     y *= layer.scale
     y += layer.shift
     np.maximum(y, 0, out=y)
     if skip is not None:
         y += skip
-    if mask is not None:
-        y *= mask
     return y
 
 
-def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward,
-                  mask: np.ndarray | None = None) -> np.ndarray:
-    """The folded blocks in order. ``mask`` (B, S, 1) marks the cells of a
-    zero-padded conv layout that hold rows; the padding cells are zeroed
-    again after every block, so no tap reads another sequence's values."""
+def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np.ndarray:
+    """The folded blocks in order; ``forward(x, w, b)`` is each layer's op."""
     for layer in layers:
         y, _ = forward(x, layer.w, layer.b)
-        x = _folded_block(y, layer, x if y.shape[-1] == x.shape[-1] else None, mask)
+        x = _folded_block(y, layer, x if y.shape[-1] == x.shape[-1] else None)
     return x
 
 
@@ -463,8 +460,10 @@ def _policy_scores(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
     pooled ``pc``, are multiplied once per move, and the member-slot ones
     once per candidate row, in one product over the whole batch. p.seq
     convolves each move's rows as one zero-padded sequence, as p_forward
-    does. All moves go through one stack, so a move's logits may differ
-    from a call with that move alone in the last bits.
+    does, but multiplies only the row pairs inside a move
+    (``conv1d_ragged_forward``), so its logits match p_forward's in all
+    but the last bits. All moves go through one stack, so a move's logits
+    may differ from a call with that move alone in the last bits.
     """
     sizes = [mi.cand_sets.shape[0] for mi in moves]
     layer = net.p_fc[0]
@@ -478,12 +477,9 @@ def _policy_scores(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
     if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
         skip = np.concatenate([np.repeat(head, sizes, axis=0), slots], axis=1)
     feats = _folded_stack(_folded_block(y, layer, skip), net.p_fc[1:], dense_forward)
-    if len(sizes) == 1:  # one sequence: no padding to keep apart
-        feats = _folded_stack(feats[None], net.p_seq, conv1d_forward)[0]
-    else:
-        grid = np.arange(max(sizes)) < np.array(sizes)[:, None]
-        feats = _folded_stack(_scatter(feats, grid), net.p_seq, conv1d_forward,
-                              grid[..., None])[grid]
+    taps = ragged_taps(sizes, net.p_seq[0].w.shape[0])
+    feats = _folded_stack(feats, net.p_seq,
+                          lambda x, k, b: conv1d_ragged_forward(x, k, b, taps))
     scores, _ = dense_forward(feats, *net.p_head)
     return scores[:, 0].astype(np.float64), sizes
 

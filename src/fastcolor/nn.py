@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "lstm_cell_backward",
     "conv1d_forward",
     "conv1d_backward",
+    "ragged_taps",
+    "conv1d_ragged_forward",
     "batchnorm_forward",
     "batchnorm_backward",
     "softmax",
@@ -170,12 +173,15 @@ def relu_backward(dy: np.ndarray, cache):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|)
+    # so neither branch overflows; np.minimum returns its first NaN, so a
+    # NaN keeps its sign, as in exp(x)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    out = np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=out, where=x >= 0)
 
 
 def lstm_cell_forward(x: np.ndarray, c: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -260,6 +266,38 @@ def conv1d_backward(dy: np.ndarray, cache):
         dxp[:, tap : tap + s, :] += dcols[:, :, tap * c_in : (tap + 1) * c_in]
     dx = dxp[:, pad : pad + s, :]
     return dx, dw2.reshape(filter_size, c_in, c_out), db
+
+
+def ragged_taps(sizes: list[int], filter_size: int):
+    """(tap, dst, src) for each off-centre kernel tap of a 'same'
+    convolution over concatenated sequences of ``sizes`` rows: the output
+    rows dst whose input row src = dst + tap - filter_size // 2 lies in
+    the same sequence. Taps with no such row are left out."""
+    pad = filter_size // 2
+    starts = list(accumulate(sizes, initial=0))
+    taps = []
+    for off in range(1, min(pad, max(sizes) - 1) + 1):
+        # the rows with a row `off` later in their sequence; a plain loop
+        # beats NumPy's per-call cost at a few dozen rows
+        lo = np.array([s + i for s, k in zip(starts, sizes) for i in range(k - off)])
+        taps += [(pad + off, lo, lo + off), (pad - off, lo + off, lo)]
+    return taps
+
+
+def conv1d_ragged_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray, taps):
+    """``conv1d_forward`` over concatenated sequences x (N, C_in), each
+    with its own zero padding, with ``taps`` from ``ragged_taps``: only
+    the row pairs inside a sequence are multiplied. Inference only:
+    returns (output (N, C_out), None)."""
+    filter_size, c_in, _ = kernel.shape
+    if filter_size % 2 == 0:
+        raise ParameterError("filter size must be odd for same padding")
+    if x.shape[-1] != c_in:
+        raise ParameterError(f"input has {x.shape[-1]} channels, kernel wants {c_in}")
+    y = x @ kernel[filter_size // 2] + b
+    for tap, dst, src in taps:
+        y[dst] += x[src] @ kernel[tap]
+    return y, None
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

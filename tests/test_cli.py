@@ -183,7 +183,8 @@ class TestTrain:
         assert len(lines) == 3
 
     @pytest.mark.parametrize("line", ["candidate_cap = 1", "window = 0", "feature_bins = 0",
-                                      "color_set_size = 0"])
+                                      "color_set_size = 0", "v_layers = 0", "p_layers = 0",
+                                      "seq_layers = 0", "seq_filter = -1"])
     def test_unsound_config_fails_cleanly(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
         path = tmp_path / "bad.cfg"

@@ -77,7 +77,9 @@ def test_validation():
 
 @pytest.mark.parametrize("bad", [
     dict(candidate_cap=1), dict(candidate_cap=0), dict(candidate_cap=-3), dict(window=0),
-    dict(feature_bins=0), dict(color_set_size=0), dict(window=-1),
+    dict(feature_bins=0), dict(color_set_size=0), dict(window=-1), dict(v_layers=0),
+    dict(p_layers=0), dict(seq_layers=0), dict(seq_layers=-2), dict(seq_filter=-1),
+    dict(seq_filter=0),
 ])
 def test_unsound_sizes_rejected(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):

@@ -851,16 +851,44 @@ class TestStacks:
         for name in store.names():
             assert np.abs(store[name] - ref_store[name]).max() <= 1e-12, name
 
+    @given(lengths=st.lists(st.integers(1, 10), min_size=1, max_size=8),
+           filter_size=st.sampled_from([1, 3, 5, 7]), width=st.sampled_from([8, 16]),
+           dtype=st.sampled_from(["float64", "float32"]), seed=st.integers(0, 999))
+    @settings(max_examples=80, deadline=None)
+    def test_ragged_stack_matches_per_sequence_conv(self, lengths, filter_size, width, dtype,
+                                                    seed):
+        # p_width 8 is seq_channels: a residual first block
+        cfg = tiny_cfg(seq_filter=filter_size, p_width=width, dtype=dtype)
+        store = init_fastcolornet(cfg, seed=seed)
+        randomize_inference_params(store, make_rng(seed))
+        layers = freeze(store, cfg).p_seq
+        x = make_rng(seed + 1).normal(size=(sum(lengths), width)).astype(dtype)
+        taps = nn.ragged_taps(lengths, filter_size)
+        got = fastcolornet._folded_stack(
+            x.copy(), layers, lambda x, k, b: nn.conv1d_ragged_forward(x, k, b, taps))
+        want = []
+        for seq in np.split(x.astype(np.float64), np.cumsum(lengths)[:-1]):
+            for layer in layers:  # float64 reference, zero 'same' padding per sequence
+                y = nn.conv1d_forward(seq[None], layer.w.astype(np.float64), layer.b)[0][0]
+                y = np.maximum(y * layer.scale + layer.shift, 0.0)
+                seq = seq + y if seq.shape == y.shape else y
+            want.append(seq)
+        want = np.concatenate(want)
+        assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+        scale = 1e-12 if dtype == "float64" else 1e-5 * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= scale
+
 
 def spy_layer_inputs(monkeypatch) -> list[np.dtype]:
-    """Record the dtype of every array passed to dense/conv1d forward,
-    wherever a fastcolor module looks the function up."""
+    """Record the dtype of every array passed to a dense or conv1d forward
+    (the ragged one's tap index excluded), wherever a fastcolor module
+    looks the function up."""
     seen: list[np.dtype] = []
     modules = [importlib.import_module(f"fastcolor.{m.name}")
                for m in pkgutil.iter_modules(fastcolor.__path__)]
-    for original in (nn.dense_forward, nn.conv1d_forward):
+    for original in (nn.dense_forward, nn.conv1d_forward, nn.conv1d_ragged_forward):
         def spy(*args, _fn=original):
-            seen.extend(a.dtype for a in args)
+            seen.extend(a.dtype for a in args if isinstance(a, np.ndarray))
             return _fn(*args)
         for mod in modules:
             for key, value in list(vars(mod).items()):

@@ -4,6 +4,8 @@ differences, and optimizer behaviour."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fastcolor import nn
 from fastcolor.errors import ContractError, ParameterError
@@ -103,6 +105,38 @@ class TestForwardExamples:
         y, _ = batchnorm_forward(x, np.full(2, 2.0), np.full(2, 1.0), rm, rv, training=False)
         npt.assert_allclose(y, 2.0 * 1.0 / np.sqrt(1 + 1e-5) + 1.0)
         npt.assert_allclose(rm, 0.0)  # eval never mutates buffers
+
+
+def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The masked two-branch sigmoid ``nn._sigmoid`` must match byte for byte."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 100.5, -100.5, 1e30, -1e30]
+
+
+class TestSigmoid:
+    @given(dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_two_branch_formula(self, dtype, data):
+        width = np.dtype(dtype).itemsize * 8
+        x = data.draw(hnp.arrays(dtype, hnp.array_shapes(max_dims=2, max_side=40),
+                                 elements=st.floats(width=width)
+                                 | st.sampled_from(SPECIALS).map(dtype)))
+        assert nn._sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_specials(self, dtype):
+        x = np.array(SPECIALS, dtype=dtype)
+        got = nn._sigmoid(x)
+        assert got.dtype == dtype and got.tobytes() == two_branch_sigmoid(x).tobytes()
+        npt.assert_array_equal(got[:4], [0.5, 0.5, 1.0, 0.0])
+        assert np.isnan(got[4:6]).all()
 
 
 class TestBackwardVsFiniteDifferences:
