@@ -10,6 +10,7 @@ directory argument.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -30,6 +31,27 @@ from .pipeline import (
 from .selfplay import BaselineOracle, ReplayBuffer, bootstrap_oracle, run_selfplay
 
 ENV_OUT_DIR = "FASTCOLOR_OUT_DIR"
+# The thread-count variables OpenBLAS reads when it loads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> None:
+    """Run NumPy's bundled OpenBLAS on one thread, unless the environment
+    names a count. Decode and search make many small matrix products, on
+    which BLAS threads spend their time waiting on each other. NumPy is
+    imported before ``main`` runs, so the count is set through the library;
+    a NumPy without the scipy-openblas symbol is left as it is."""
+    if any(os.environ.get(var) for var in BLAS_THREAD_VARS):
+        return
+    try:
+        from numpy._core import _multiarray_umath  # linked against the BLAS
+
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
 
 
 def _resolve_out(flag_value: str | None, default: str) -> str:
@@ -214,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "model", None) and getattr(args, "config", "") is None:
         parser.error("--model requires --config")
+    _one_blas_thread()
     try:
         return args.func(args)
     except (FastcolorError, OSError) as exc:

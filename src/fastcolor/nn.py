@@ -175,13 +175,15 @@ def relu_backward(dy: np.ndarray, cache):
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|)
     # so neither branch overflows; np.minimum returns its first NaN, so a
-    # NaN keeps its sign, as in exp(x)
+    # NaN keeps its sign, as in exp(x). As e <= 1, max(e, x >= 0) is the
+    # numerator of both branches (a NaN stays NaN): a masked divide costs
+    # far more on the random signs of LSTM gates.
     e = np.negative(x)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
     d = 1.0 + e
-    out = np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=out, where=x >= 0)
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def lstm_cell_forward(x: np.ndarray, c: np.ndarray, w: np.ndarray, b: np.ndarray):

@@ -32,8 +32,10 @@ logger = logging.getLogger(__name__)
 
 # Segments a self-play pass plays in lockstep; bounds the live search trees.
 LOCKSTEP_SEGMENTS = 64
-# Most non-forced moves NetPolicy drafts and scores in one forward.
-DRAFT_MAX = 32
+# Candidate rows at which NetPolicy stops drafting: a forward's GEMM rows and
+# activation memory scale with rows, and too few rows cannot pay for loading
+# the policy weights. The last draft can add up to candidate_cap rows more.
+DRAFT_ROWS = 512
 # A batched move's logits match its alone logits to a few units of roundoff
 # (relative to 1 + the largest |logit|); a top-two margin within this many
 # is decided by the exact one-move call instead.
@@ -56,14 +58,15 @@ class NetPolicy:
     built here when the caller has none to share.
 
     At a move it has no plan for, ``choose`` drafts moves with the greedy
-    heuristic on the caller's state, up to ``block`` non-forced ones,
-    building each one's contexts just before its draft move, and scores
-    them all in one ``decode_logits`` call. It keeps the drafts up to the
-    first one the net's argmax differs from, plus the net's own choice
-    there (its context was exact), undoes every draft, and answers the
-    following calls from that plan (``_Plan.follows``). A fully kept block
-    doubles ``block``, up to ``DRAFT_MAX``; a rejection or a new state
-    resets it to 1.
+    heuristic on the caller's state, up to ``block`` non-forced ones or
+    until their candidate rows reach ``DRAFT_ROWS``, building each one's
+    contexts just before its draft move, and scores them all in one
+    ``decode_logits`` call. It keeps the drafts up to the first one the
+    net's argmax differs from, plus the net's own choice there (its context
+    was exact), undoes every draft, and answers the following calls from
+    that plan (``_Plan.follows``). A fully kept block doubles ``block``, up
+    to ``DRAFT_ROWS`` (the row budget then binds first); a rejection or a
+    new state resets it to 1.
 
     The choices are those of scoring each move alone. A move's logits in
     a batch may differ from its alone logits in the last bits, so a
@@ -106,6 +109,7 @@ class NetPolicy:
         capped: list[int] = []
         moves, at = [], []
         table = None
+        rows = 0
         while True:
             aset = state.valid_actions()
             capped.append(0)
@@ -117,10 +121,11 @@ class NetPolicy:
                     capped[-1] = len(aset.existing)
                 moves.append(mi)
                 at.append(len(actions))
+                rows += len(mi.actions)
             # greedy_action: the smallest valid color, a new one only when forced
             actions.append(aset.existing[0] if aset.existing else aset.new_color)
-            if len(moves) == self.block:  # the last draft: no context is built after it
-                break
+            if len(moves) == self.block or rows >= DRAFT_ROWS:
+                break  # the last draft: no context is built after it
             state.apply_inplace(actions[-1])
             if state.is_terminal:
                 break
@@ -155,7 +160,7 @@ class NetPolicy:
                 break
             self.kept += 1
         full = len(choices) == len(moves) and choices[-1] == drafts[-1]
-        self.block = min(2 * self.block, DRAFT_MAX) if full else 1
+        self.block = min(2 * self.block, DRAFT_ROWS) if full else 1
         return choices
 
 

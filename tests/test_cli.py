@@ -1,5 +1,6 @@
 """Command-line behavior and the SVG chart writer."""
 
+import ctypes
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fastcolor.checkpoint import Checkpoint, save_checkpoint
-from fastcolor.cli import main
+from fastcolor.cli import BLAS_THREAD_VARS, main
 from fastcolor.config import Config
 from fastcolor.errors import ParameterError, ParseError
 from fastcolor.fastcolornet import init_fastcolornet
@@ -146,6 +147,38 @@ class TestColor:
         with pytest.raises(SystemExit) as exc:
             main(["color", "--graph", k4_file, "--bogus"])
         assert exc.value.code == 2
+
+
+class TestBlasThreads:
+    """``main`` runs NumPy's bundled OpenBLAS on one thread unless the
+    environment names a count."""
+
+    @pytest.fixture
+    def blas_threads(self, monkeypatch):
+        try:
+            from numpy._core import _multiarray_umath
+
+            lib = ctypes.CDLL(_multiarray_umath.__file__)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (ImportError, OSError, AttributeError):
+            pytest.skip("NumPy's BLAS exports no scipy-openblas thread setter")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        old = get()
+        put(2)
+        yield get
+        put(old)
+
+    def test_one_thread(self, blas_threads, k4_file):
+        assert main(["estimate-mdp", "--graph", k4_file]) == 0
+        assert blas_threads() == 1
+
+    def test_explicit_count_kept(self, blas_threads, k4_file, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["estimate-mdp", "--graph", k4_file]) == 0
+        assert blas_threads() == 2
 
 
 class TestEstimateMdp:

@@ -117,7 +117,8 @@ def two_branch_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 100.5, -100.5, 1e30, -1e30]
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 100.5, -100.5, 1e30, -1e30,
+            750.0, -750.0, 1e-40, -1e-40, 5e-324, -5e-324]  # exp overflow, subnormals
 
 
 class TestSigmoid:

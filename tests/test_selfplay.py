@@ -469,14 +469,20 @@ class TestSpeculativeDecode:
 
     @given(kind=st.sampled_from(["er", "ws"]), n=st.integers(6, 48), seed=st.integers(0, 999),
            order_kind=st.sampled_from(HEURISTIC_KINDS), cap=st.integers(2, 4),
-           dtype=st.sampled_from(["float64", "float32"]), width=st.sampled_from([16, 50]))
+           dtype=st.sampled_from(["float64", "float32"]), width=st.sampled_from([16, 50]),
+           draft_rows=st.one_of(st.none(), st.integers(3, 8)))
     @settings(max_examples=40, deadline=None)
-    def test_same_actions_as_move_by_move(self, kind, n, seed, order_kind, cap, dtype, width):
-        # p_width 50 is p.fc.0's input width at these sizes: a residual first block
+    def test_same_actions_as_move_by_move(self, kind, n, seed, order_kind, cap, dtype, width,
+                                          draft_rows):
+        # p_width 50 is p.fc.0's input width at these sizes: a residual first block;
+        # a small row budget binds on these small graphs
         cfg = net_cfg(dtype=dtype, order_kind=order_kind, candidate_cap=cap, p_width=width)
         g = gen_er(n, 0.4, seed) if kind == "er" else gen_ws(n, 4, 0.5, seed)
         policy = random_head_policy(cfg, seed)
-        got = decode(policy, g, cfg)
+        with pytest.MonkeyPatch.context() as m:
+            if draft_rows is not None:
+                m.setattr(selfplay, "DRAFT_ROWS", draft_rows)
+            got = decode(policy, g, cfg)
         state = ColoringState(g, compute_order(g, cfg.order_kind))
         for a in got:
             assert alone_choice(policy, state) == a
@@ -484,12 +490,31 @@ class TestSpeculativeDecode:
         assert policy.kept <= policy.drafted and policy.forwards >= (policy.drafted > 0)
 
     def test_fresh_model_keeps_every_draft(self):
+        # fully kept blocks double past 32 moves, up to the row budget
         cfg = net_cfg()
-        g = gen_ws(300, 4, 0.5, seed=1)
+        g = gen_ws(1000, 4, 0.5, seed=1)
         policy = NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0)
         decode(policy, g, cfg)
         assert policy.kept == policy.drafted > 0
-        assert policy.forwards < policy.drafted / 8 and policy.block == selfplay.DRAFT_MAX
+        assert policy.forwards < policy.drafted / 32 and policy.block == selfplay.DRAFT_ROWS
+
+    @pytest.mark.parametrize("draft_rows,cap", [(None, 256), (8, 3)])
+    def test_forward_rows_within_budget(self, monkeypatch, draft_rows, cap):
+        # drafting stops once the rows reach the budget: the last move adds at most cap
+        if draft_rows is not None:
+            monkeypatch.setattr(selfplay, "DRAFT_ROWS", draft_rows)
+        rows, split = [], selfplay.decode_logits
+
+        def spy(net, moves):
+            rows.append(sum(len(mi.actions) for mi in moves))
+            return split(net, moves)
+
+        monkeypatch.setattr(selfplay, "decode_logits", spy)
+        cfg = net_cfg(candidate_cap=cap)
+        decode(NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0),
+               gen_ws(1000, 4, 0.5, seed=2), cfg)
+        assert max(rows) >= selfplay.DRAFT_ROWS
+        assert max(rows) < selfplay.DRAFT_ROWS + cfg.candidate_cap
 
     def test_near_tie_decided_alone(self, monkeypatch):
         # batched scores that put another candidate a hair above the net's
