@@ -92,6 +92,10 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 off, nbytes = int(off_txt), int(nbytes_txt)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: bad tensor line {line!r}: {exc}") from None
+            if dtype.kind not in "biufc":
+                raise ParseError(f"{path}: tensor {name!r} has non-numeric dtype {dtype_name!r}")
+            if off < 0 or nbytes < 0:
+                raise ParseError(f"{path}: negative offset or size for tensor {name!r}")
             raw = blob[off:off + nbytes]
             if len(raw) != nbytes:
                 raise ParseError(f"{path}: blob truncated for tensor {name!r}")

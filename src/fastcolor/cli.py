@@ -236,6 +236,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "model", None) and getattr(args, "config", "") is None:
         parser.error("--model requires --config")
+    simulations = getattr(args, "simulations", None)
+    if (getattr(args, "mode", None) == "mcts" or simulations is not None) and not args.model:
+        parser.error("--mode mcts and --simulations require --model")
+    if simulations is not None and simulations < 1:
+        parser.error("--simulations must be >= 1")
     _one_blas_thread()
     try:
         return args.func(args)

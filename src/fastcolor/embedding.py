@@ -128,6 +128,9 @@ class EmbeddingTable:
     iterations: int
     tables: np.ndarray  # (T+1, V, D)
     capped_moves: int = field(default=0, compare=False)  # moves cut to candidate_cap
+    # (weakref to an inference snapshot, its memo of pooled window terms);
+    # see ``fastcolornet.evaluate_frozen``. Freed with the table.
+    window_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def final(self) -> np.ndarray:

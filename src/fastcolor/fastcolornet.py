@@ -16,6 +16,7 @@ those parameters through the same chain.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -24,7 +25,6 @@ import numpy as np
 from .coloring import ActionSet, ColoringState, Outcome
 from .embedding import (
     EmbeddingTable,
-    encode_onehot,
     init_transfer_params,
     walks_backward,
     walks_forward,
@@ -59,14 +59,16 @@ __all__ = [
     "MoveInput",
     "NetOutput",
     "TrainMove",
-    "graph_context",
     "count_capped",
+    "context_ids",
     "build_contexts",
     "init_fastcolornet",
     "v_forward",
     "p_forward",
     "InferenceNet",
     "freeze",
+    "stack_contexts",
+    "window_terms",
     "decode_logits",
     "policy_value_forward",
     "evaluate",
@@ -116,23 +118,6 @@ class TrainMove:
     z: Outcome
 
 
-def graph_context(state: ColoringState, aset: ActionSet, cfg, dtype=np.float64) -> np.ndarray:
-    """Four stacked feature-bin blocks: vertex count (log2 bucketed),
-    colors used, vertices colored so far, and the multi-hot of the valid
-    existing colors in ``aset`` (the state's action set)."""
-    g = state.graph
-    bins = cfg.feature_bins
-    maxc = g.max_degree + 1
-    gc = np.zeros(4 * bins, dtype=dtype)
-    # vertex counts span orders of magnitude; bucket by bit length
-    gc[min(bins - 1, g.n.bit_length() - 1)] = 1.0
-    gc[bins + encode_onehot(min(state.colors_used, maxc), maxc, bins)] = 1.0
-    gc[2 * bins + encode_onehot(state.t, g.n, bins)] = 1.0
-    for c in aset.existing:  # encode_onehot(min(c, maxc), maxc, bins), inlined
-        gc[3 * bins + min(c * bins // maxc, bins - 1)] = 1.0
-    return gc
-
-
 def count_capped(table: EmbeddingTable, cfg, t: int, existing: int) -> None:
     """Count one move at ``t``, with ``existing`` valid existing colors, cut
     to ``candidate_cap`` on ``table``; only a graph's first hit is logged."""
@@ -143,48 +128,68 @@ def count_capped(table: EmbeddingTable, cfg, t: int, existing: int) -> None:
                        cfg.candidate_cap, table.graph_key, t, existing)
 
 
-def build_contexts(state: ColoringState, table: EmbeddingTable, cfg,
-                   aset: ActionSet | None = None, count: bool = True) -> MoveInput:
-    """Contexts for the current move, in the embedding table's dtype.
+def context_ids(state: ColoringState, table: EmbeddingTable, cfg,
+                aset: ActionSet | None = None,
+                count: bool = True) -> tuple[list[int], list[int], list[int], bool]:
+    """The current move's contexts as ids, in plain Python ints:
+    ``(actions, members, hot, capped)``.
 
-    ``aset`` is the state's action set, for a caller that already holds it.
-    A capped move is counted on the table (``count_capped``) unless
-    ``count`` is false, for a caller that counts only the moves it decides.
+    ``members`` lists the (K, m) candidate member ids row by row: the m
+    most recent members of each candidate color, newest first, then the
+    new color's empty set; -1 pads. ``hot`` lists the entries of the
+    ``4 * feature_bins`` graph context that are 1: the vertex count (log2
+    bucketed), colors used, vertices colored so far, and each valid
+    existing color of ``aset`` (the state's action set). Moves with more
+    existing colors than ``candidate_cap - 1`` keep the first ones; such a
+    move is counted on the table (``count_capped``) unless ``count`` is
+    false, for a caller that counts only the moves it decides.
     """
     g = state.graph
-    if table.tables.shape[1] != g.n:
+    n = g.n
+    if table.tables.shape[1] != n:
         raise ContractError(
-            f"embedding table covers {table.tables.shape[1]} vertices, graph has {g.n}")
-    m = cfg.color_set_size
-    rows = table.padded
-    t = state.t
-
-    pc_vertices = state.order_window(cfg.window)
-    pc = rows[pc_vertices]
-
+            f"embedding table covers {table.tables.shape[1]} vertices, graph has {n}")
     if aset is None:
         aset = state.valid_actions()
+    bins = cfg.feature_bins
+    maxc = g.max_degree + 1
+    t = state.t
+    # encode_onehot, inlined: min(value * bins // maximum, bins - 1)
+    hot = [min(bins - 1, n.bit_length() - 1),
+           bins + min(min(state.colors_used, maxc) * bins // maxc, bins - 1),
+           2 * bins + min(t * bins // n, bins - 1)]
+    hot += [3 * bins + min(c * bins // maxc, bins - 1) for c in aset.existing]
     existing = list(aset.existing)
-    capped = False
-    if len(existing) + 1 > cfg.candidate_cap:
-        existing = existing[: cfg.candidate_cap - 1]
-        capped = True
+    capped = len(existing) >= cfg.candidate_cap
+    if capped:
+        del existing[cfg.candidate_cap - 1:]
         if count:
             count_capped(table, cfg, t, len(aset.existing))
-    k = len(existing) + 1
-    # the m most recent members of each candidate, newest first
-    flat = [-1] * (k * m)
-    for ci, color in enumerate(existing):
-        recent = state.color_members[color][-m:][::-1]
-        flat[ci * m:ci * m + len(recent)] = recent
-    cand_vertices = np.array(flat, dtype=np.int64).reshape(k, m)
-    cand_sets = rows[cand_vertices]
+    m = cfg.color_set_size
+    members: list[int] = []
+    for color in existing:
+        recent = state.color_members[color][:-m - 1:-1]
+        members += recent
+        members += [-1] * (m - len(recent))
+    members += [-1] * m
+    return existing + [aset.new_color], members, hot, capped
 
-    gc = graph_context(state, aset, cfg, rows.dtype)
-    return MoveInput(table=table, graph=g, gc=gc,
-                     pc=pc, pc_vertices=pc_vertices, cand_sets=cand_sets,
-                     cand_vertices=cand_vertices,
-                     actions=existing + [aset.new_color], capped=capped)
+
+def build_contexts(state: ColoringState, table: EmbeddingTable, cfg,
+                   aset: ActionSet | None = None, count: bool = True) -> MoveInput:
+    """Contexts for the current move, in the embedding table's dtype: the
+    rows behind ``context_ids`` (whose arguments these are), with the
+    problem window ``state.order_window(window)``."""
+    actions, members, hot, capped = context_ids(state, table, cfg, aset, count)
+    rows = table.padded
+    gc = np.zeros(4 * cfg.feature_bins, dtype=rows.dtype)
+    gc[hot] = 1.0
+    pc_vertices = state.order_window(cfg.window)
+    cand_vertices = np.array(members, dtype=np.int64).reshape(len(actions), -1)
+    return MoveInput(table=table, graph=state.graph, gc=gc,
+                     pc=rows[pc_vertices], pc_vertices=pc_vertices,
+                     cand_sets=rows[cand_vertices], cand_vertices=cand_vertices,
+                     actions=actions, capped=capped)
 
 
 # -- parameter layout --------------------------------------------------
@@ -450,27 +455,44 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np
     return x
 
 
-def _policy_scores(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
-                   gc: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Float64 candidate logits of every move, concatenated, and the moves'
-    candidate counts; the policy half of ``policy_value_forward``.
-
-    ``pc`` (B, 2w, D) and ``gc`` (B, G) are the moves' contexts, stacked.
-    p.fc.0 is split by its input columns: the shared ones, ``gc`` and the
-    pooled ``pc``, are multiplied once per move, and the member-slot ones
-    once per candidate row, in one product over the whole batch. p.seq
-    convolves each move's rows as one zero-padded sequence, as p_forward
-    does, but multiplies only the row pairs inside a move
-    (``conv1d_ragged_forward``), so its logits match p_forward's in all
-    but the last bits. All moves go through one stack, so a move's logits
-    may differ from a call with that move alone in the last bits.
-    """
+def stack_contexts(moves: list[MoveInput]):
+    """``(gc, pc, slots, sizes)``: the moves' graph contexts (B, G) and
+    problem windows (B, 2w, D) stacked, the member-slot rows of every
+    candidate concatenated (N, m * D), and the moves' candidate counts."""
     sizes = [mi.cand_sets.shape[0] for mi in moves]
+    slots = np.concatenate([mi.cand_sets.reshape(k, -1) for mi, k in zip(moves, sizes)])
+    return np.stack([mi.gc for mi in moves]), np.stack([mi.pc for mi in moves]), slots, sizes
+
+
+def window_terms(net: InferenceNet, pc: np.ndarray) -> np.ndarray:
+    """(M, D + C): the pooled rows of each problem window of ``pc``
+    (M, 2w, D), then its pooled v.seq output. Both depend on the window
+    alone, not on the colors of the move."""
+    seq = _folded_stack(pc, net.v_seq, conv1d_forward)
+    return np.concatenate([pc.mean(axis=1), seq.mean(axis=1)], axis=1)
+
+
+def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
+                   slots: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Float64 candidate logits of every move, concatenated; the policy
+    half of ``policy_value_forward``.
+
+    ``gc`` (B, G) and ``pooled_pc`` (B, D) are the moves' graph contexts
+    and pooled problem windows, ``slots`` and ``sizes`` as
+    ``stack_contexts`` gives them. p.fc.0 is split by its input columns:
+    the shared ones, ``gc`` and the pooled ``pc``, are multiplied once per
+    move, and the member-slot ones once per candidate row, in one product
+    over the whole batch. p.seq convolves each move's rows as one
+    zero-padded sequence, as p_forward does, but multiplies only the row
+    pairs inside a move (``conv1d_ragged_forward``), so its logits match
+    p_forward's in all but the last bits. All moves go through one stack,
+    so a move's logits may differ from a call with that move alone in the
+    last bits.
+    """
     layer = net.p_fc[0]
-    head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
+    head = np.concatenate([gc, pooled_pc], axis=1)
     split = head.shape[1]
     shared, _ = dense_forward(head, layer.w[:split], layer.b)
-    slots = np.concatenate([mi.cand_sets.reshape(k, -1) for mi, k in zip(moves, sizes)])
     y = slots @ layer.w[split:]
     y += np.repeat(shared, sizes, axis=0)
     skip = None
@@ -481,7 +503,7 @@ def _policy_scores(net: InferenceNet, moves: list[MoveInput], pc: np.ndarray,
     feats = _folded_stack(feats, net.p_seq,
                           lambda x, k, b: conv1d_ragged_forward(x, k, b, taps))
     scores, _ = dense_forward(feats, *net.p_head)
-    return scores[:, 0].astype(np.float64), sizes
+    return scores[:, 0].astype(np.float64)
 
 
 def decode_logits(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]:
@@ -489,40 +511,99 @@ def decode_logits(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]
     alone; their softmax is what ``policy_value_forward`` gives, bit for
     bit. A move's logits may differ from a call with that move alone in
     the last bits; a one-move call is the reference."""
-    logits, sizes = _policy_scores(net, moves, np.stack([mi.pc for mi in moves]),
-                                   np.stack([mi.gc for mi in moves]))
+    gc, pc, slots, sizes = stack_contexts(moves)
+    logits = _policy_scores(net, gc, pc.mean(axis=1), slots, sizes)
     bounds = list(accumulate(sizes, initial=0))
     return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def policy_value_forward(net: InferenceNet,
-                         moves: list[MoveInput]) -> tuple[list[np.ndarray], np.ndarray]:
+def policy_value_forward(net: InferenceNet, gc: np.ndarray, terms: np.ndarray,
+                         slots: np.ndarray,
+                         sizes: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
-    and v_forward compute with training=False."""
-    pc = np.stack([mi.pc for mi in moves])
-    gc = np.stack([mi.gc for mi in moves])
-    seq = _folded_stack(pc, net.v_seq, conv1d_forward)
-    h = np.concatenate([gc, seq.mean(axis=1)], axis=1)
+    and v_forward compute with training=False. ``terms`` (B, D + C) are
+    the moves' ``window_terms``; ``gc``, ``slots`` and ``sizes`` are as
+    ``stack_contexts`` gives them."""
+    dim = net.v_seq[0].w.shape[1]
+    h = np.concatenate([gc, terms[:, dim:]], axis=1)
     logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
-    scores, sizes = _policy_scores(net, moves, pc, gc)
+    scores = _policy_scores(net, gc, terms[:, :dim], slots, sizes)
     # float64 normalization, so equal logits give exactly uniform priors:
     # each move's softmax, bit for bit. The sums run move by move because
     # np.add.reduceat adds in another order than softmax's e.sum().
-    ends = np.cumsum(sizes).tolist()
+    ends = list(accumulate(sizes))
     starts = [0] + ends[:-1]
     e = np.exp(scores - np.repeat(np.maximum.reduceat(scores, starts), sizes))
     p = e / np.repeat([e[a:b].sum() for a, b in zip(starts, ends)], sizes)
     return [p[a:b] for a, b in zip(starts, ends)], softmax(logits.astype(np.float64))
 
 
+def _window_memo(table: EmbeddingTable, net: InferenceNet) -> dict:
+    """``net``'s pooled window terms on ``table``, keyed by the window's
+    vertex ids (their bytes). The table holds one snapshot's memo at a
+    time, that snapshot weakly: another snapshot starts an empty memo, so
+    none reads another's terms, and the memo is freed with the table."""
+    held = table.window_memo
+    if held is None or held[0]() is not net:
+        held = table.window_memo = (weakref.ref(net), {})
+    return held[1]
+
+
 def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
                     tables: list[EmbeddingTable]) -> list[NetOutput]:
     """Score states, each with its graph's table, in one batched forward
-    of a frozen snapshot; pure given the arguments."""
-    moves = [build_contexts(state, table, cfg) for state, table in zip(states, tables)]
-    p_list, v3 = policy_value_forward(net, moves)
-    return [NetOutput(actions=mi.actions, p=p, v3=v, v=float(v[0] - v[2]), capped=mi.capped)
-            for mi, p, v in zip(moves, p_list, v3)]
+    of a frozen snapshot.
+
+    Each state's contexts are ids (``context_ids``), gathered once for
+    the batch: ``gc`` by one scatter, the candidate slot rows by one
+    ``table.padded`` gather per run of states that share a table (per
+    distinct table where states come grouped by graph, as in self-play).
+    A move's ``window_terms`` depend only on (snapshot, table, window), so
+    they are memoised on the table (``_window_memo``), and the windows a
+    batch meets first go through ``window_terms`` together; no leaf
+    gathers its raw window. So the result is fixed by the arguments and
+    the earlier calls on the same tables: like any batched row, a
+    window's terms may differ in the last bits from a one-window call,
+    and they come from the batch that first met the window.
+    """
+    width = 4 * cfg.feature_bins
+    outs: list[tuple[list[int], bool]] = []
+    sizes: list[int] = []
+    hot: list[int] = []
+    keys: list[tuple[dict, bytes]] = []
+    runs: list[tuple[EmbeddingTable, list[int]]] = []  # (table, member ids) per run
+    missing: dict[tuple[int, bytes], tuple] = {}  # windows no memo holds yet
+    table = None
+    for b, (state, tab) in enumerate(zip(states, tables)):
+        actions, members, bins, capped = context_ids(state, tab, cfg)
+        if tab is not table:
+            table, ids = tab, []
+            memo = _window_memo(table, net)
+            runs.append((table, ids))
+        ids += members
+        window = state.order_window(cfg.window)
+        key = window.tobytes()
+        if key not in memo:
+            missing[id(table), key] = (table, memo, key, window)
+        keys.append((memo, key))
+        hot += [b * width + i for i in bins]
+        sizes.append(len(actions))
+        outs.append((actions, capped))
+
+    if missing:
+        new = list(missing.values())
+        pc = np.stack([table.padded[window] for table, _, _, window in new])
+        for (_, memo, key, _), row in zip(new, window_terms(net, pc)):
+            memo[key] = row
+    terms = np.array([memo[key] for memo, key in keys])
+    slots = np.concatenate([table.padded[ids] for table, ids in runs])
+    slots = slots.reshape(sum(sizes), -1)  # (N * m, D) -> (N, m * D)
+    gc = np.zeros((len(states), width), dtype=slots.dtype)
+    gc.reshape(-1)[hot] = 1.0
+    p_list, v3 = policy_value_forward(net, gc, terms, slots, sizes)
+    values = (v3[:, 0] - v3[:, 2]).tolist()
+    return [NetOutput(actions=actions, p=p, v3=v, v=value, capped=capped)
+            for (actions, capped), p, v, value in zip(outs, p_list, v3, values)]
 
 
 def evaluate(store: ParamStore, cfg, state: ColoringState, table: EmbeddingTable) -> NetOutput:

@@ -8,7 +8,13 @@ import pytest
 from fastcolor.coloring import ActionSet, ColoringState, outcome_vs_baseline
 from fastcolor.embedding import encode_onehot
 from fastcolor.errors import ContractError
-from fastcolor.fastcolornet import InferenceNet, MoveInput, policy_value_forward
+from fastcolor.fastcolornet import (
+    InferenceNet,
+    MoveInput,
+    policy_value_forward,
+    stack_contexts,
+    window_terms,
+)
 from fastcolor.graph import Graph
 from fastcolor.nn import ParamStore
 
@@ -78,10 +84,17 @@ def random_move(cfg, k: int, rng) -> MoveInput:
                      actions=list(range(k)))
 
 
+def forward_moves(net: InferenceNet, moves: list[MoveInput]):
+    """``policy_value_forward`` of the moves' own contexts: (p (K_b,) per
+    move, v3 (B, 3)), their window terms computed for this call alone."""
+    gc, pc, slots, sizes = stack_contexts(moves)
+    return policy_value_forward(net, gc, window_terms(net, pc), slots, sizes)
+
+
 def policy_forward(net: InferenceNet, mi: MoveInput) -> np.ndarray:
     """Candidate probabilities (K,) for one move; what p_forward computes
     with training=False."""
-    return policy_value_forward(net, [mi])[0][0]
+    return forward_moves(net, [mi])[0][0]
 
 
 class RolloutEvaluator:

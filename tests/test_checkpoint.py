@@ -57,6 +57,29 @@ def test_truncated_blob_rejected(tmp_path):
         read_tensors(path)
 
 
+def _write_manifest(path, tensor_lines, blob: bytes) -> None:
+    head = "\n".join(["fastcolor-tensors v1", *tensor_lines, "end"]) + "\n"
+    path.write_bytes(head.encode() + blob)
+
+
+@pytest.mark.parametrize("line", ["tensor b float64 2 -48 16", "tensor b float64 2 16 -16"])
+def test_negative_offset_or_size_rejected(tmp_path, line):
+    # on this 48-byte blob, offset -48 would silently read tensor a's bytes as b
+    path = tmp_path / "t.bin"
+    _write_manifest(path, ["tensor a float64 2 0 16", line],
+                    np.arange(6, dtype="<f8").tobytes())
+    with pytest.raises(ParseError, match="negative offset or size for tensor 'b'"):
+        read_tensors(str(path))
+
+
+@pytest.mark.parametrize("dtype", ["object", "O", "U2", "S16", "V16", "datetime64[s]"])
+def test_non_numeric_dtype_rejected(tmp_path, dtype):
+    path = tmp_path / "t.bin"
+    _write_manifest(path, [f"tensor a {dtype} 1 0 16"], bytes(16))
+    with pytest.raises(ParseError, match="non-numeric dtype"):
+        read_tensors(str(path))
+
+
 def test_missing_terminator_rejected(tmp_path):
     path = tmp_path / "t.bin"
     path.write_bytes(b"fastcolor-tensors v1\n")

@@ -149,6 +149,26 @@ class TestColor:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["color", "eval"])
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "mcts"], "require --model"),
+    (["--mode", "mcts", "--simulations", "0"], "require --model"),
+    (["--simulations", "8"], "require --model"),
+    (["--model", "MODEL", "--simulations", "0"], "must be >= 1"),
+    (["--model", "MODEL", "--mode", "mcts", "--simulations", "-3"], "must be >= 1"),
+])
+def test_search_flags_checked(tmp_path, k4_file, cfg_file, capsys, command, flags, message):
+    # search flags without a model used to be ignored (a greedy count, exit 0)
+    ck_path = tmp_path / "model.ckpt"
+    checkpoint_for(tiny_cfg(), str(ck_path))
+    flags = [str(ck_path) if f == "MODEL" else f for f in flags]
+    target = ["--graph", k4_file] if command == "color" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *target, "--config", cfg_file, *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestBlasThreads:
     """``main`` runs NumPy's bundled OpenBLAS on one thread unless the
     environment names a count."""

@@ -1,9 +1,11 @@
 """Context assembly, the two networks, the joint loss, and training steps."""
 
 import dataclasses
+import gc
 import importlib
 import logging
 import pkgutil
+import weakref
 
 import numpy as np
 import pytest
@@ -24,24 +26,31 @@ from fastcolor.fastcolornet import (
     fcn_train_step,
     forward_backward,
     freeze,
-    graph_context,
     init_fastcolornet,
     p_forward,
-    policy_value_forward,
+    stack_contexts,
     v_forward,
+    window_terms,
 )
 import fastcolor
-from fastcolor import embedding, fastcolornet, nn, selfplay
+from fastcolor import embedding, fastcolornet, mcts, nn, selfplay
 from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.mcts import NetEvaluator, UniformEvaluator, evaluate_batch
 from fastcolor.nn import AdamState, dense_forward, finite_diff_check, softmax
 from fastcolor.pipeline import Model, policy_colors
 from fastcolor.rng import make_rng
-from fastcolor.selfplay import EmbeddingCache, NetPolicy
+from fastcolor.selfplay import (
+    EmbeddingCache,
+    NetPolicy,
+    ReplayBuffer,
+    bootstrap_oracle,
+    run_selfplay,
+)
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    forward_moves,
     onehot_vector,
     path_graph,
     random_move,
@@ -68,7 +77,7 @@ def setup_state(g, cfg, moves=(), seed=0, init_seed=None):
 
 
 def reference_graph_context(state, aset, cfg) -> np.ndarray:
-    """graph_context block by block: three one-hot vectors and the
+    """build_contexts' gc block by block: three one-hot vectors and the
     multi-hot of the valid existing colors, concatenated."""
     g = state.graph
     bins = cfg.feature_bins
@@ -169,7 +178,7 @@ class TestContexts:
         cfg = tiny_cfg()
         g = path_graph(5)
         store, table, state = setup_state(g, cfg, moves=(0,))
-        gc = graph_context(state, state.valid_actions(), cfg)
+        gc = build_contexts(state, table, cfg).gc
         bins = cfg.feature_bins
         assert gc.shape == (4 * bins,)
         for block in range(3):  # the three one-hot blocks
@@ -585,7 +594,7 @@ class TestFrozenInference:
             p_ref, _, _ = p_forward(store, cfg, [mi], training=False,
                                     pc_override=pc, cand_override=cands)
             p_ref = p_ref[0]
-            (got_p,), (got_v3,) = policy_value_forward(net, [mi])
+            (got_p,), (got_v3,) = forward_moves(net, [mi])
             assert np.abs(got_p - p_ref).max() <= tol
             assert np.abs(got_v3 - v3[0]).max() <= tol
             top = np.sort(p_ref)[::-1]
@@ -604,13 +613,13 @@ class TestFrozenInference:
         randomize_inference_params(store, rng)
         moves = [random_move(cfg, k, rng) for k in sizes]
         net = freeze(store, cfg)
-        p_list, v3 = policy_value_forward(net, moves)
+        p_list, v3 = forward_moves(net, moves)
         assert len(p_list) == len(moves) and v3.shape == (len(moves), 3)
         # reference: the eval-mode training forward over the same batch
         p_ref, _, _ = p_forward(store, cfg, moves, training=False)
         v3_ref, _, _ = v_forward(store, cfg, moves, training=False)
         for b, mi in enumerate(moves):
-            (alone_p,), (alone_v3,) = policy_value_forward(net, [mi])
+            (alone_p,), (alone_v3,) = forward_moves(net, [mi])
             assert p_list[b].shape == (sizes[b],)
             assert np.abs(p_list[b] - alone_p).max() <= tol
             assert np.abs(v3[b] - alone_v3).max() <= tol
@@ -635,7 +644,7 @@ class TestFrozenInference:
             return out
 
         monkeypatch.setattr(fastcolornet, "dense_forward", spy)
-        p_list, _ = policy_value_forward(freeze(store, cfg), moves)
+        p_list, _ = forward_moves(freeze(store, cfg), moves)
         # the p.head call comes last; its scores are the batch's logits
         logits = outputs[-1][:, 0].astype(np.float64)
         for p, lg in zip(p_list, np.split(logits, np.cumsum(sizes)[:-1])):
@@ -666,7 +675,7 @@ class TestFrozenInference:
         store, table, state = setup_state(cycle_graph(7), cfg, moves=(0, 1))
         randomize_inference_params(store, make_rng(3))
         out = evaluate(store, cfg, state, table)
-        (p,), (v3,) = policy_value_forward(freeze(store, cfg),
+        (p,), (v3,) = forward_moves(freeze(store, cfg),
                                            [build_contexts(state, table, cfg)])
         assert np.array_equal(out.p, p) and np.array_equal(out.v3, v3)
         assert out.v == float(v3[0] - v3[2])
@@ -679,12 +688,12 @@ class TestFrozenInference:
         randomize_inference_params(store, make_rng(4))
         mi = batch[0].move
         net = freeze(store, cfg)
-        (p_before,), v3_before = policy_value_forward(net, [mi])
+        (p_before,), v3_before = forward_moves(net, [mi])
         adam = AdamState.for_store(store, lr=0.05)
         fcn_train_step(batch, store, cfg, adam, make_rng(0))
-        (p_after,), v3_after = policy_value_forward(net, [mi])
+        (p_after,), v3_after = forward_moves(net, [mi])
         assert np.array_equal(p_before, p_after) and np.array_equal(v3_before, v3_after)
-        assert not np.array_equal(policy_value_forward(freeze(store, cfg), [mi])[1],
+        assert not np.array_equal(forward_moves(freeze(store, cfg), [mi])[1],
                                   v3_before)
 
     def test_model_freezes_once_per_version(self):
@@ -696,6 +705,135 @@ class TestFrozenInference:
         assert model.evaluator(path_graph(4), cfg).net is net
         model.version += 1
         assert model.net(cfg) is not net
+
+
+class TestLeafIds:
+    """Search leaves are scored from ids (``evaluate_frozen``): one gather
+    per batch and window terms memoised per (snapshot, table, window). The
+    reference is each state's ``build_contexts`` scored alone."""
+
+    @staticmethod
+    def states_on(graphs, cfg, store, per_graph, rng):
+        """(state, table) pairs, ``per_graph`` per graph at random moves of
+        random episodes along the config order, grouped by graph."""
+        pairs = []
+        for i, g in enumerate(graphs):
+            table = compute_embeddings(g, store, cfg, seed=i)
+            for _ in range(per_graph):
+                state = ColoringState(g, compute_order(g, cfg.order_kind))
+                for _ in range(int(rng.integers(g.n))):
+                    actions = state.valid_actions().actions()
+                    state.apply_inplace(actions[rng.integers(len(actions))])
+                pairs.append((state, table))
+        return pairs
+
+    @given(kind=st.sampled_from(["er", "ws"]), sizes=st.lists(st.integers(6, 24), min_size=1,
+                                                                max_size=4),
+           seed=st.integers(0, 999), order_kind=st.sampled_from(HEURISTIC_KINDS),
+           cap=st.integers(2, 5), dtype=st.sampled_from(["float64", "float32"]),
+           per_graph=st.integers(1, 3), interleave=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_build_contexts(self, kind, sizes, seed, order_kind, cap, dtype,
+                                          per_graph, interleave):
+        cfg = tiny_cfg(dtype=dtype, order_kind=order_kind, candidate_cap=cap)
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        store = init_fastcolornet(cfg, seed=seed)
+        rng = make_rng(seed)
+        randomize_inference_params(store, rng)
+        net = freeze(store, cfg)
+        graphs = [gen_er(n, 0.4, seed + i) if kind == "er" else gen_ws(n, 4, 0.5, seed + i)
+                  for i, n in enumerate(sizes)]
+        pairs = self.states_on(graphs, cfg, store, per_graph, rng)
+        if interleave:  # tables in runs, not grouped
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        forward = fastcolornet.policy_value_forward
+        seen = []
+
+        def spy(net_, gc, terms, slots, sizes_):
+            seen.append((gc, terms, slots, sizes_))
+            return forward(net_, gc, terms, slots, sizes_)
+
+        for _ in range(2):  # the second round reads the memo where a state stays put
+            states = [state for state, _ in pairs]
+            tables = [table for _, table in pairs]
+            capped_before = sum({id(t): t.capped_moves for t in tables}.values())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fastcolornet, "policy_value_forward", spy)
+                outs = fastcolornet.evaluate_frozen(net, cfg, states, tables)
+            assert sum({id(t): t.capped_moves for t in tables}.values()) - capped_before == \
+                sum(out.capped for out in outs)
+            moves = [build_contexts(state, table, cfg, count=False) for state, table in pairs]
+            gc, pc, slots, sizes_ = stack_contexts(moves)
+            got_gc, got_terms, got_slots, got_sizes = seen.pop()
+            assert got_gc.dtype == gc.dtype and np.array_equal(got_gc, gc)
+            assert got_slots.dtype == slots.dtype and np.array_equal(got_slots, slots)
+            assert got_sizes == sizes_
+            assert np.abs(got_terms - window_terms(net, pc)).max() <= tol
+            for out, mi in zip(outs, moves):
+                (p,), (v3,) = forward_moves(net, [mi])
+                assert out.actions == mi.actions and out.capped == mi.capped
+                assert np.abs(out.p - p).max() <= tol and np.abs(out.v3 - v3).max() <= tol
+                assert abs(out.v - (v3[0] - v3[2])) <= 2 * tol
+                top = np.sort(p)[::-1]
+                if top.size == 1 or top[0] - top[1] > tol:
+                    assert np.argmax(out.p) == np.argmax(p)
+            for state, _ in pairs:
+                if state.t < state.graph.n - 1 and rng.random() < 0.5:
+                    state.apply_inplace(state.valid_actions().actions()[0])
+
+    def test_window_terms_memoised_per_snapshot_and_table(self, monkeypatch):
+        cfg = tiny_cfg(order_kind="dynamic", move_sample_rate=0.5, run_ahead=5, mcts_segment=3,
+                       simulations=8)
+        gs = [gen_er(12, 0.4, seed=s) for s in range(3)]
+        model = Model(init_fastcolornet(cfg))
+        randomize_inference_params(model.store, make_rng(0))
+        computed: list[int] = []
+        terms = fastcolornet.window_terms
+
+        def count_terms(net, pc):
+            computed.append(len(pc))
+            return terms(net, pc)
+
+        leaves: set[tuple[int, int]] = set()
+        rounds = []
+        frozen = mcts.evaluate_frozen
+
+        def count_leaves(net, cfg_, states, tables):
+            rounds.append(len(states))
+            leaves.update((id(table), state.t) for state, table in zip(states, tables))
+            return frozen(net, cfg_, states, tables)
+
+        monkeypatch.setattr(fastcolornet, "window_terms", count_terms)
+        monkeypatch.setattr(mcts, "evaluate_frozen", count_leaves)
+        for seed in (0, 1):
+            run_selfplay(gs, cfg, lambda g: model.evaluator(g, cfg), bootstrap_oracle(),
+                         ReplayBuffer(capacity=256), seed=seed)
+        # every (table, t) window went through window_terms once over all rounds,
+        # though leaves revisit each many times
+        assert sum(computed) == len(leaves) and sum(rounds) > 10 * len(leaves)
+        assert len(rounds) > 2 * len(computed)
+
+        # another snapshot on the same table computes and reads its own terms
+        table = model.cache.table(gs[0], model.store, cfg, model.version)
+        store2 = model.store.copy()
+        randomize_inference_params(store2, make_rng(1))
+        net2 = freeze(store2, cfg)
+        state = ColoringState(gs[0], compute_order(gs[0], cfg.order_kind))
+        for t in range(4):
+            state.apply_inplace(state.greedy_action())
+        before = sum(computed)
+        (actions, p, v), = evaluate_batch([NetEvaluator(store2, cfg, table, net2)], [state])
+        assert sum(computed) == before + 1
+        (want_p,), (want_v3,) = forward_moves(net2, [build_contexts(state, table, cfg)])
+        assert np.abs(p - want_p).max() <= 1e-12 and abs(v - (want_v3[0] - want_v3[2])) <= 1e-12
+
+        # a table dropped from the cache is freed together with its terms
+        table_ref = weakref.ref(table)
+        term_ref = weakref.ref(next(iter(table.window_memo[1].values())))
+        del table, state
+        model.cache.drop_below(model.version + 1)
+        gc.collect()
+        assert table_ref() is None and term_ref() is None
 
 
 class TestSplitDecode:
@@ -796,7 +934,7 @@ class TestSplitDecode:
         randomize_inference_params(store, rng)
         moves = [random_move(cfg, k, rng) for k in sizes]
         net = freeze(store, cfg)
-        p_list, _ = policy_value_forward(net, moves)
+        p_list, _ = forward_moves(net, moves)
         logits = decode_logits(net, moves)
         assert len(p_list) == len(logits) == len(moves)
         for p, lg in zip(p_list, logits):
