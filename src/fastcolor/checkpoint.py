@@ -92,6 +92,8 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
                 off, nbytes = int(off_txt), int(nbytes_txt)
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: bad tensor line {line!r}: {exc}") from None
+            if name in tensors:
+                raise ParseError(f"{path}: tensor {name!r} listed twice")
             if dtype.kind not in "biufc":
                 raise ParseError(f"{path}: tensor {name!r} has non-numeric dtype {dtype_name!r}")
             if off < 0 or nbytes < 0:
@@ -100,7 +102,7 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             if len(raw) != nbytes:
                 raise ParseError(f"{path}: blob truncated for tensor {name!r}")
             arr = np.frombuffer(raw, dtype=dtype)
-            if int(np.prod(shape, dtype=np.int64)) != arr.size:
+            if min(shape, default=0) < 0 or int(np.prod(shape, dtype=np.int64)) != arr.size:
                 raise ParseError(f"{path}: shape/size mismatch for tensor {name!r}")
             tensors[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
         else:

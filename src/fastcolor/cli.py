@@ -69,6 +69,11 @@ def _load_model(ckpt_path: str, cfg: Config) -> Model:
         raise FastcolorError(
             f"checkpoint was trained under config hash {ck.config_hash}, "
             f"this config hashes to {cfg.hash()}")
+    want = {name: arr.shape for name, arr in init_fastcolornet(cfg).items()}
+    got = {name: arr.shape for name, arr in ck.params.items()}
+    bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    if bad:
+        raise FastcolorError(f"checkpoint parameters do not fit this config's network: {bad[:3]}")
     return Model(ck.params, version=ck.iteration)
 
 

@@ -40,6 +40,7 @@ from .nn import (
     batchnorm_forward,
     conv1d_backward,
     conv1d_forward,
+    conv1d_ragged_backward,
     conv1d_ragged_forward,
     dense_backward,
     dense_forward,
@@ -234,25 +235,15 @@ def init_fastcolornet(cfg, seed: int | None = None) -> ParamStore:
 # -- stacks ------------------------------------------------------------
 
 
-def _stack_forward(store, prefix, x, layers, training, grid=None):
-    """Residual blocks over rows x (N, C_in): layer -> batchnorm -> ReLU,
-    plus the block's input whenever the channel counts match.
-
-    Without ``grid`` each layer is dense. A boolean ``grid`` (B, S) marks
-    the cells of a zero-padded (B, S, C) layout that hold the N rows in
-    row-major order; each layer is then a 1-d convolution over that
-    layout, so every row of the grid is one sequence with its own zero
-    padding. Batchnorm statistics are joint over the N rows either way.
-    """
+def _stack_forward(store, prefix, weight, x, layers, training, forward):
+    """Residual blocks over x (..., C_in): layer ``forward(x, w, b)``, with w
+    the store's ``{prefix}.{i}.{weight}``, -> batchnorm (joint over all
+    leading axes) -> ReLU, plus the block's input whenever the channel
+    counts match. Returns the output and the per-layer caches."""
     caches = []
     for i in range(layers):
         name = f"{prefix}.{i}"
-        if grid is None:
-            y, layer_cache = dense_forward(x, store[f"{name}.w"], store[f"{name}.b"])
-        else:
-            y, layer_cache = conv1d_forward(_scatter(x, grid), store[f"{name}.k"],
-                                            store[f"{name}.b"])
-            y = y[grid]
+        y, layer_cache = forward(x, store[f"{name}.{weight}"], store[f"{name}.b"])
         y, bn_cache = batchnorm_forward(
             y, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
             store[f"{name}.bn._running_mean"], store[f"{name}.bn._running_var"], training)
@@ -261,34 +252,22 @@ def _stack_forward(store, prefix, x, layers, training, grid=None):
         skip = x.shape[-1] == y.shape[-1]
         x = x + y if skip else y
         caches.append((layer_cache, bn_cache, mask, skip))
-    return x, (caches, grid)
+    return x, caches
 
 
-def _stack_backward(store, prefix, dout, cache, grads):
-    caches, grid = cache
+def _stack_backward(store, prefix, weight, dout, caches, grads, backward):
+    """``_stack_forward``'s input gradient; ``backward`` is its layer op's."""
     for i in reversed(range(len(caches))):
         name = f"{prefix}.{i}"
         layer_cache, bn_cache, mask, skip = caches[i]
         dy, dgamma, dbeta = batchnorm_backward(dout * mask, bn_cache)
         _acc(grads, f"{name}.bn.gamma", dgamma)
         _acc(grads, f"{name}.bn.beta", dbeta)
-        if grid is None:
-            dx, dw, db = dense_backward(dy, layer_cache)
-            _acc(grads, f"{name}.w", dw)
-        else:
-            dx, dw, db = conv1d_backward(_scatter(dy, grid), layer_cache)
-            dx = dx[grid]
-            _acc(grads, f"{name}.k", dw)
+        dx, dw, db = backward(dy, layer_cache)
+        _acc(grads, f"{name}.{weight}", dw)
         _acc(grads, f"{name}.b", db)
         dout = dx + dout if skip else dx
     return dout
-
-
-def _scatter(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    # rows (N, C) -> (B, S, C), zero wherever grid is False
-    out = np.zeros(grid.shape + rows.shape[1:], dtype=rows.dtype)
-    out[grid] = rows
-    return out
 
 
 def _acc(grads: dict, name: str, val: np.ndarray) -> None:
@@ -311,12 +290,11 @@ def v_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
     """Outcome head over a batch of moves; returns (v3 (B,3), logits, cache)."""
     pc = pc_override if pc_override is not None else np.stack([mi.pc for mi in moves])
     gc = np.stack([mi.gc for mi in moves])
-    b, s, dim = pc.shape
-    seq_out, seq_cache = _stack_forward(store, "v.seq", pc.reshape(b * s, dim), cfg.seq_layers,
-                                        training, grid=np.ones((b, s), dtype=bool))
-    seq_out = seq_out.reshape(b, s, -1)
+    seq_out, seq_cache = _stack_forward(store, "v.seq", "k", pc, cfg.seq_layers, training,
+                                        conv1d_forward)
     h = np.concatenate([gc, seq_out.mean(axis=1)], axis=1)
-    fc_out, fc_cache = _stack_forward(store, "v.fc", h, cfg.v_layers, training)
+    fc_out, fc_cache = _stack_forward(store, "v.fc", "w", h, cfg.v_layers, training,
+                                      dense_forward)
     logits, head_cache = dense_forward(fc_out, store["v.head.w"], store["v.head.b"])
     v3 = softmax(logits)
     cache = (seq_cache, seq_out.shape, fc_cache, head_cache, gc.shape[1])
@@ -328,19 +306,17 @@ def v_backward(store: ParamStore, dlogits: np.ndarray, cache, grads: dict) -> np
     dh, dw, db = dense_backward(dlogits, head_cache)
     _acc(grads, "v.head.w", dw)
     _acc(grads, "v.head.b", db)
-    dh = _stack_backward(store, "v.fc", dh, fc_cache, grads)
+    dh = _stack_backward(store, "v.fc", "w", dh, fc_cache, grads, dense_backward)
     dseq = _pool_backward(dh[:, gc_width:], seq_shape)
-    b, s, c = seq_shape
-    d_pc = _stack_backward(store, "v.seq", dseq.reshape(b * s, c), seq_cache, grads)
-    return d_pc.reshape(b, s, -1)
+    return _stack_backward(store, "v.seq", "k", dseq, seq_cache, grads, conv1d_backward)
 
 
 def p_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
               pc_override: np.ndarray | None = None,
               cand_override: list[np.ndarray] | None = None):
     """Candidate scores; returns (list of p vectors, list of logits, cache)."""
-    sizes = np.array([mi.cand_sets.shape[0] for mi in moves])
-    if (sizes == 0).any():
+    sizes = [mi.cand_sets.shape[0] for mi in moves]
+    if 0 in sizes:
         raise ContractError("every move must offer at least one candidate")
     pc = pc_override if pc_override is not None else np.stack([mi.pc for mi in moves])
     gc = np.stack([mi.gc for mi in moves])
@@ -348,10 +324,12 @@ def p_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
     head = np.concatenate([gc, pc.mean(axis=1)], axis=1)
     x = np.concatenate([np.repeat(head, sizes, axis=0),
                         np.concatenate([c.reshape(c.shape[0], -1) for c in cands])], axis=1)
-    feats, fc_cache = _stack_forward(store, "p.fc", x, cfg.p_layers, training)
+    feats, fc_cache = _stack_forward(store, "p.fc", "w", x, cfg.p_layers, training,
+                                     dense_forward)
     # one zero-padded sequence per move, so conv taps never cross moves
-    grid = np.arange(sizes.max()) < sizes[:, None]
-    feats, seq_cache = _stack_forward(store, "p.seq", feats, cfg.seq_layers, training, grid)
+    taps = ragged_taps(sizes, cfg.seq_filter)
+    feats, seq_cache = _stack_forward(store, "p.seq", "k", feats, cfg.seq_layers, training,
+                                      lambda x, k, b: conv1d_ragged_forward(x, k, b, taps))
     scores, head_cache = dense_forward(feats, store["p.head.w"], store["p.head.b"])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     logits_list = np.split(scores[:, 0], starts[1:])
@@ -367,8 +345,9 @@ def p_backward(store: ParamStore, dlogits_list, cache, grads: dict):
     dfeats, dw, db = dense_backward(dscores, head_cache)
     _acc(grads, "p.head.w", dw)
     _acc(grads, "p.head.b", db)
-    dfeats = _stack_backward(store, "p.seq", dfeats, seq_cache, grads)
-    dx = _stack_backward(store, "p.fc", dfeats, fc_cache, grads)
+    dfeats = _stack_backward(store, "p.seq", "k", dfeats, seq_cache, grads,
+                             conv1d_ragged_backward)
+    dx = _stack_backward(store, "p.fc", "w", dfeats, fc_cache, grads, dense_backward)
     # every candidate row of a move saw the same pooled problem context
     dim = pc_shape[2]
     d_pc = _pool_backward(np.add.reduceat(dx[:, gcw:gcw + dim], starts, axis=0), pc_shape)
@@ -482,12 +461,11 @@ def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
     ``stack_contexts`` gives them. p.fc.0 is split by its input columns:
     the shared ones, ``gc`` and the pooled ``pc``, are multiplied once per
     move, and the member-slot ones once per candidate row, in one product
-    over the whole batch. p.seq convolves each move's rows as one
-    zero-padded sequence, as p_forward does, but multiplies only the row
-    pairs inside a move (``conv1d_ragged_forward``), so its logits match
-    p_forward's in all but the last bits. All moves go through one stack,
-    so a move's logits may differ from a call with that move alone in the
-    last bits.
+    over the whole batch. p.seq convolves each move's rows as one sequence
+    (``conv1d_ragged_forward``), as p_forward does; with the batchnorms
+    folded its logits match p_forward's in all but the last bits. All
+    moves go through one stack, so a move's logits may differ from a call
+    with that move alone in the last bits.
     """
     layer = net.p_fc[0]
     head = np.concatenate([gc, pooled_pc], axis=1)

@@ -37,6 +37,7 @@ __all__ = [
     "conv1d_backward",
     "ragged_taps",
     "conv1d_ragged_forward",
+    "conv1d_ragged_backward",
     "batchnorm_forward",
     "batchnorm_backward",
     "softmax",
@@ -289,8 +290,7 @@ def ragged_taps(sizes: list[int], filter_size: int):
 def conv1d_ragged_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray, taps):
     """``conv1d_forward`` over concatenated sequences x (N, C_in), each
     with its own zero padding, with ``taps`` from ``ragged_taps``: only
-    the row pairs inside a sequence are multiplied. Inference only:
-    returns (output (N, C_out), None)."""
+    the row pairs inside a sequence are multiplied; y is (N, C_out)."""
     filter_size, c_in, _ = kernel.shape
     if filter_size % 2 == 0:
         raise ParameterError("filter size must be odd for same padding")
@@ -299,7 +299,21 @@ def conv1d_ragged_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray, taps
     y = x @ kernel[filter_size // 2] + b
     for tap, dst, src in taps:
         y[dst] += x[src] @ kernel[tap]
-    return y, None
+    return y, (x, kernel, taps)
+
+
+def conv1d_ragged_backward(dy: np.ndarray, cache):
+    """The transposed taps of ``conv1d_ragged_forward``. Within one tap
+    the src rows are distinct, so a fancy-index ``+=`` adds each once."""
+    x, kernel, taps = cache
+    centre = kernel.shape[0] // 2
+    dx = dy @ kernel[centre].T
+    dk = np.zeros(kernel.shape, dtype=np.result_type(x, dy))
+    dk[centre] = x.T @ dy
+    for tap, dst, src in taps:
+        dx[src] += dy[dst] @ kernel[tap].T
+        dk[tap] = x[src].T @ dy[dst]
+    return dx, dk, dy.sum(axis=0)
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

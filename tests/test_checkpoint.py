@@ -72,6 +72,24 @@ def test_negative_offset_or_size_rejected(tmp_path, line):
         read_tensors(str(path))
 
 
+@pytest.mark.parametrize("shape", ["-1,-6", "-2,-3"])
+def test_negative_dimension_rejected(tmp_path, shape):
+    # -1,-6 and -2,-3 multiply to 6, the element count of this 48-byte blob
+    path = tmp_path / "t.bin"
+    _write_manifest(path, [f"tensor a float64 {shape} 0 48"],
+                    np.arange(6, dtype="<f8").tobytes())
+    with pytest.raises(ParseError, match="shape/size mismatch for tensor 'a'"):
+        read_tensors(str(path))
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    path = tmp_path / "t.bin"
+    _write_manifest(path, ["tensor a float64 2 0 16", "tensor a float64 2 16 16"],
+                    np.arange(4, dtype="<f8").tobytes())
+    with pytest.raises(ParseError, match="tensor 'a' listed twice"):
+        read_tensors(str(path))
+
+
 @pytest.mark.parametrize("dtype", ["object", "O", "U2", "S16", "V16", "datetime64[s]"])
 def test_non_numeric_dtype_rejected(tmp_path, dtype):
     path = tmp_path / "t.bin"

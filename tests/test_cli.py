@@ -14,7 +14,7 @@ from fastcolor.config import Config
 from fastcolor.errors import ParameterError, ParseError
 from fastcolor.fastcolornet import init_fastcolornet
 from fastcolor.graph import Graph, gen_er, load_graph, save_edge_list
-from fastcolor.nn import AdamState
+from fastcolor.nn import AdamState, ParamStore
 from fastcolor.plotting import line_chart, numeric_column, read_csv_columns
 
 from conftest import complete_graph
@@ -65,8 +65,16 @@ def k4_file(tmp_path):
     return str(path)
 
 
-def checkpoint_for(cfg: Config, path: str) -> None:
+def checkpoint_for(cfg: Config, path: str, edit=None) -> None:
+    """A fresh model's checkpoint; ``edit(params)`` may change its parameter
+    dict first."""
     store = init_fastcolornet(cfg)
+    if edit is not None:
+        params = dict(store.items())
+        edit(params)
+        store = ParamStore(store.dtype)
+        for name, arr in params.items():
+            store.add(name, arr)
     save_checkpoint(path, Checkpoint(
         params=store, adam=AdamState.for_store(store, lr=cfg.lr),
         config_hash=cfg.hash(), iteration=0,
@@ -134,6 +142,21 @@ class TestColor:
         assert main(["color", "--graph", k4_file, "--model", str(ck_path),
                      "--config", str(other)]) == 1
         assert "config hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.pop("p.head.w"), "network: ['p.head.w']"),
+        (lambda params: params.update({"p.fc.0.w": params["p.fc.0.w"][:-1]}),
+         "network: ['p.fc.0.w']"),
+    ])
+    def test_architecture_mismatch_fails(self, tmp_path, k4_file, cfg_file, capsys, edit,
+                                         message):
+        # the config hash matches; the parameters do not
+        ck_path = tmp_path / "model.ckpt"
+        checkpoint_for(tiny_cfg(), str(ck_path), edit)
+        assert main(["color", "--graph", k4_file, "--model", str(ck_path),
+                     "--config", cfg_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
     def test_corrupted_graph_fails_with_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.el"

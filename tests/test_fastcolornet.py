@@ -489,7 +489,7 @@ class TestGradients:
 
     def test_training_mode_finite_difference(self):
         # batch statistics in every batchnorm, and moves of different
-        # candidate counts, so the candidate seq2seq runs over a padded grid
+        # candidate counts, so the candidate seq2seq runs over ragged sequences
         cfg = tiny_cfg(walk_rate=1.0, walk_budget=1000)
         g = gen_er(12, 0.4, seed=3)
         store = init_fastcolornet(cfg, seed=2)
@@ -954,7 +954,7 @@ class TestSplitDecode:
 
 
 def per_sequence_conv_stack(store, prefix, seqs, layers, training):
-    """Reference for a gridded stack: one convolution per sequence, with
+    """Reference for a ragged stack: one convolution per sequence, with
     batchnorm statistics joint over all rows."""
     for i in range(layers):
         name = f"{prefix}.{i}"
@@ -973,16 +973,16 @@ class TestStacks:
     @given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
            training=st.booleans(), seed=st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
-    def test_grid_stack_matches_per_sequence_loop(self, lengths, training, seed):
+    def test_training_stack_matches_per_sequence_loop(self, lengths, training, seed):
         cfg = tiny_cfg(seq_filter=5)
         store = init_fastcolornet(cfg, seed=seed)
         randomize_inference_params(store, make_rng(seed))
         ref_store = store.copy()
         x = make_rng(seed + 1).normal(size=(sum(lengths), cfg.p_width))
-        sizes = np.array(lengths)
-        grid = np.arange(sizes.max()) < sizes[:, None]
-        got, _ = _stack_forward(store, "p.seq", x, cfg.seq_layers, training, grid)
-        want = per_sequence_conv_stack(ref_store, "p.seq", np.split(x, np.cumsum(sizes)[:-1]),
+        taps = nn.ragged_taps(lengths, cfg.seq_filter)
+        got, _ = _stack_forward(store, "p.seq", "k", x, cfg.seq_layers, training,
+                                lambda x, k, b: nn.conv1d_ragged_forward(x, k, b, taps))
+        want = per_sequence_conv_stack(ref_store, "p.seq", np.split(x, np.cumsum(lengths)[:-1]),
                                        cfg.seq_layers, training)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12

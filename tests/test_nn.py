@@ -17,6 +17,8 @@ from fastcolor.nn import (
     batchnorm_forward,
     conv1d_backward,
     conv1d_forward,
+    conv1d_ragged_backward,
+    conv1d_ragged_forward,
     dense_backward,
     dense_forward,
     finite_diff_check,
@@ -26,6 +28,7 @@ from fastcolor.nn import (
     init_lstm,
     lstm_cell_backward,
     lstm_cell_forward,
+    ragged_taps,
     relu_backward,
     relu_forward,
     softmax,
@@ -252,6 +255,32 @@ class TestBackwardVsFiniteDifferences:
 
         self._check(store_x, loss_x, {"x": dx}, samples=10)
 
+    def test_conv1d_ragged(self):
+        rng = np.random.default_rng(4)
+        store = f64_store()
+        init_conv1d(store, "c", 5, 3, 2, rng)
+        taps = ragged_taps([4, 1, 3, 6], 5)
+        x = rng.normal(size=(14, 3))
+        proj = rng.normal(size=(14, 2))
+
+        def loss():
+            y, _ = conv1d_ragged_forward(x, store["c.k"], store["c.b"], taps)
+            return float((y * proj).sum())
+
+        _, cache = conv1d_ragged_forward(x, store["c.k"], store["c.b"], taps)
+        dx, dk, db = conv1d_ragged_backward(proj, cache)
+        self._check(store, loss, {"c.k": dk, "c.b": db}, samples=10)
+
+        store_x = f64_store()
+        store_x.add("x", x)
+        k_fixed, b_fixed = store["c.k"], store["c.b"]
+
+        def loss_x():
+            y, _ = conv1d_ragged_forward(store_x["x"], k_fixed, b_fixed, taps)
+            return float((y * proj).sum())
+
+        self._check(store_x, loss_x, {"x": dx}, samples=10)
+
     @pytest.mark.parametrize("training", [True, False])
     def test_batchnorm(self, training):
         rng = np.random.default_rng(5)
@@ -288,6 +317,35 @@ class TestBackwardVsFiniteDifferences:
             return float((y * proj).sum())
 
         self._check(store_x, loss_x, {"x": dx}, samples=12)
+
+
+class TestRaggedConv1d:
+    @given(lengths=st.lists(st.integers(1, 10), min_size=1, max_size=8),
+           filter_size=st.sampled_from([1, 3, 5, 7]), c_in=st.integers(1, 5),
+           c_out=st.integers(1, 5), seed=st.integers(0, 999))
+    @settings(max_examples=80, deadline=None)
+    def test_backward_matches_per_sequence_conv(self, lengths, filter_size, c_in, c_out, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.normal(size=(filter_size, c_in, c_out))
+        b = rng.normal(size=c_out)
+        x = rng.normal(size=(sum(lengths), c_in))
+        dy = rng.normal(size=(sum(lengths), c_out))
+        y, cache = conv1d_ragged_forward(x, kernel, b, ragged_taps(lengths, filter_size))
+        dx, dk, db = conv1d_ragged_backward(dy, cache)
+        bounds = np.cumsum(lengths)[:-1]
+        want_y, want_dx = [], []
+        want_dk, want_db = np.zeros_like(kernel), np.zeros_like(b)
+        for xs, dys in zip(np.split(x, bounds), np.split(dy, bounds)):
+            ys, seq_cache = conv1d_forward(xs[None], kernel, b)
+            dxs, dks, dbs = conv1d_backward(dys[None], seq_cache)
+            want_y.append(ys[0])
+            want_dx.append(dxs[0])
+            want_dk += dks
+            want_db += dbs
+        assert dx.shape == x.shape and dk.shape == kernel.shape and db.shape == b.shape
+        for got, want in ((y, np.concatenate(want_y)), (dx, np.concatenate(want_dx)),
+                          (dk, want_dk), (db, want_db)):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestAdam:

@@ -1,11 +1,21 @@
 """The benchmark's tracer wraps fastcolor functions by name; every name it
-lists must still resolve to a callable of the package."""
+lists must still resolve to a callable of the package, and a training
+step's layer calls must go through the wrappers."""
 
 import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+
+from fastcolor import fastcolornet
+from fastcolor.coloring import ColoringState, Outcome
+from fastcolor.config import Config
+from fastcolor.embedding import compute_embeddings
+from fastcolor.graph import gen_er
+from fastcolor.nn import AdamState
+from fastcolor.rng import make_rng
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -32,3 +42,35 @@ def test_target_resolves(target):
     found = owner.__dict__.get(attr) if owners else getattr(owner, attr, None)
     assert callable(found), f"fastcolor.{mod_name}.{path} does not resolve"
     assert hook is None or callable(hook)
+
+
+TRAINING_LAYERS = ["nn.dense_forward", "nn.dense_backward", "nn.conv1d_forward",
+                   "nn.conv1d_backward", "nn.batchnorm_forward", "nn.batchnorm_backward"]
+
+
+def test_tracer_sees_training_layer_calls():
+    # a layer op bound at import time (a default argument, a module-level
+    # tuple) would escape the wrappers and read 0 calls here
+    cfg = Config(feature_bins=8, embed_dim=6, embed_hidden=10, embed_iterations=2,
+                 lstm_steps=1, window=2, color_set_size=2, v_width=16, v_layers=2,
+                 p_width=16, p_layers=2, seq_channels=8, seq_layers=2, seq_filter=3,
+                 walk_length=2, dtype="float64")
+    g = gen_er(10, 0.35, seed=1)
+    store = fastcolornet.init_fastcolornet(cfg, seed=2)
+    table = compute_embeddings(g, store, cfg, seed=0)
+    state = ColoringState(g)
+    batch = []
+    for _ in range(3):
+        move = fastcolornet.build_contexts(state, table, cfg)
+        k = len(move.actions)
+        batch.append(fastcolornet.TrainMove(move=move, pi=np.full(k, 1.0 / k), z=Outcome.TIE))
+        state.apply_inplace(move.actions[-1])
+    tracing = load_tracing()
+    tracer = tracing.Tracer(float32=False)
+    patched = tracing.install(tracer)
+    try:
+        fastcolornet.fcn_train_step(batch, store, cfg, AdamState.for_store(store), make_rng(0))
+    finally:
+        tracing.uninstall(patched)
+    calls = {name: tracer.agg.stats[name][0] for name in TRAINING_LAYERS}
+    assert all(calls.values()), calls
