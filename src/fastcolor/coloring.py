@@ -198,10 +198,11 @@ class ColoringState:
                 return c
         return self.colors_used
 
-    def order_window(self, w: int) -> np.ndarray:
+    def order_window(self, w: int, ts: list[int] | None = None) -> np.ndarray:
         """order[t-w .. t+w) as a read-only int64 view, -1 past either end
-        of the order; the padded order behind it is built once per w and
-        shared with clones."""
+        of the order; with ``ts``, a (len(ts), 2w) array of the windows at
+        each move t of ``ts``. The padded order behind them is built once
+        per w and shared with clones."""
         n = self.graph.n
         padded = self._padded
         if padded is None or padded.size != n + 2 * w:
@@ -209,7 +210,9 @@ class ColoringState:
             padded[w:w + n] = self.order
             padded.flags.writeable = False
             self._padded = padded
-        return padded[self.t:self.t + 2 * w]
+        if ts is None:
+            return padded[self.t:self.t + 2 * w]
+        return padded[np.add.outer(ts, np.arange(2 * w))]
 
 
 def _order_lists(g: Graph, order: np.ndarray) -> tuple[list[int], list[list[int]]]:

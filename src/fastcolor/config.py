@@ -115,6 +115,13 @@ class Config:
             raise ParameterError("window, feature_bins and color_set_size must be >= 1")
         if min(self.v_layers, self.p_layers, self.seq_layers) < 1:
             raise ParameterError("v_layers, p_layers and seq_layers must be >= 1")
+        if min(self.embed_dim, self.embed_hidden, self.v_width, self.p_width,
+               self.seq_channels) < 1:
+            raise ParameterError(
+                "embed_dim, embed_hidden, v_width, p_width and seq_channels must be >= 1")
+        if not 0.0 < self.dirichlet_alpha < float("inf") or not 0.0 <= self.dirichlet_frac <= 1.0:
+            raise ParameterError(
+                "dirichlet_alpha must be finite and > 0, and dirichlet_frac in [0, 1]")
         if self.seq_filter < 1 or self.seq_filter % 2 == 0:
             raise ParameterError("seq_filter must be odd and >= 1")
         if self.order_kind not in HEURISTIC_KINDS:

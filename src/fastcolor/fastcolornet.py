@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -68,7 +68,7 @@ __all__ = [
     "p_forward",
     "InferenceNet",
     "freeze",
-    "stack_contexts",
+    "block_contexts",
     "window_terms",
     "decode_logits",
     "policy_value_forward",
@@ -434,13 +434,35 @@ def _folded_stack(x: np.ndarray, layers: tuple[FoldedLayer, ...], forward) -> np
     return x
 
 
-def stack_contexts(moves: list[MoveInput]):
-    """``(gc, pc, slots, sizes)``: the moves' graph contexts (B, G) and
-    problem windows (B, 2w, D) stacked, the member-slot rows of every
-    candidate concatenated (N, m * D), and the moves' candidate counts."""
-    sizes = [mi.cand_sets.shape[0] for mi in moves]
-    slots = np.concatenate([mi.cand_sets.reshape(k, -1) for mi, k in zip(moves, sizes)])
-    return np.stack([mi.gc for mi in moves]), np.stack([mi.pc for mi in moves]), slots, sizes
+def _gather(cfg, runs: list[tuple[EmbeddingTable, list[int]]],
+            hot: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(gc, slots)`` from ids: each move's ``hot`` bins scattered into
+    a zero (B, G) ``gc``, and the member-slot rows (N, m * D) of every
+    (table, member ids) run, in one ``table.padded`` gather per run."""
+    width = 4 * cfg.feature_bins
+    slots = np.concatenate([table.padded[ids] for table, ids in runs])
+    slots = slots.reshape(-1, cfg.color_set_size * slots.shape[1])  # (N * m, D) -> (N, m * D)
+    gc = np.zeros((len(hot), width), dtype=slots.dtype)
+    gc.reshape(-1)[[b * width + i for b, bins in enumerate(hot) for i in bins]] = 1.0
+    return gc, slots
+
+
+def block_contexts(cfg, table: EmbeddingTable, windows: np.ndarray, members: list[int],
+                   hot: list[list[int]]):
+    """``(gc, pc, slots, rows)``, the ``decode_logits`` arrays of moves
+    scored together on ``table``, from their ids: ``windows`` (B, 2w) are
+    the moves' problem windows (``order_window``), ``members`` their
+    candidate member ids as ``context_ids`` lists them, move after move,
+    and ``hot`` each move's hot bins. Candidate rows with the same m
+    member ids share one slot row: ``slots`` holds each distinct row
+    once, in order of first use, and candidate row i is
+    ``slots[rows[i]]``. The rows of one move are all distinct, since
+    colors have disjoint members."""
+    distinct: dict[tuple[int, ...], int] = {}
+    keys = zip(*[iter(members)] * cfg.color_set_size)  # each row's m ids
+    rows = [distinct.setdefault(key, len(distinct)) for key in keys]
+    gc, slots = _gather(cfg, [(table, list(chain.from_iterable(distinct)))], hot)
+    return gc, table.padded[windows], slots, np.array(rows)
 
 
 def window_terms(net: InferenceNet, pc: np.ndarray) -> np.ndarray:
@@ -452,16 +474,19 @@ def window_terms(net: InferenceNet, pc: np.ndarray) -> np.ndarray:
 
 
 def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
-                   slots: np.ndarray, sizes: list[int]) -> np.ndarray:
+                   slots: np.ndarray, sizes: list[int],
+                   rows: np.ndarray | None = None) -> np.ndarray:
     """Float64 candidate logits of every move, concatenated; the policy
     half of ``policy_value_forward``.
 
     ``gc`` (B, G) and ``pooled_pc`` (B, D) are the moves' graph contexts
-    and pooled problem windows, ``slots`` and ``sizes`` as
-    ``stack_contexts`` gives them. p.fc.0 is split by its input columns:
-    the shared ones, ``gc`` and the pooled ``pc``, are multiplied once per
-    move, and the member-slot ones once per candidate row, in one product
-    over the whole batch. p.seq convolves each move's rows as one sequence
+    and pooled problem windows, ``sizes`` their candidate counts and
+    ``slots`` the member-slot rows (., m * D): one per candidate row, or,
+    with ``rows``, the distinct ones, candidate row i being
+    ``slots[rows[i]]``. p.fc.0 is split by its input columns: the shared
+    ones, ``gc`` and the pooled ``pc``, are multiplied once per move, and
+    the member-slot ones once per row of ``slots``, in one product over
+    the whole batch. p.seq convolves each move's rows as one sequence
     (``conv1d_ragged_forward``), as p_forward does; with the batchnorms
     folded its logits match p_forward's in all but the last bits. All
     moves go through one stack, so a move's logits may differ from a call
@@ -472,10 +497,13 @@ def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
     split = head.shape[1]
     shared, _ = dense_forward(head, layer.w[:split], layer.b)
     y = slots @ layer.w[split:]
+    if rows is not None:
+        y = y[rows]
     y += np.repeat(shared, sizes, axis=0)
     skip = None
     if y.shape[1] == layer.w.shape[0]:  # residual only when input and output widths match
-        skip = np.concatenate([np.repeat(head, sizes, axis=0), slots], axis=1)
+        skip = np.concatenate([np.repeat(head, sizes, axis=0),
+                               slots if rows is None else slots[rows]], axis=1)
     feats = _folded_stack(_folded_block(y, layer, skip), net.p_fc[1:], dense_forward)
     taps = ragged_taps(sizes, net.p_seq[0].w.shape[0])
     feats = _folded_stack(feats, net.p_seq,
@@ -484,13 +512,16 @@ def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
     return scores[:, 0].astype(np.float64)
 
 
-def decode_logits(net: InferenceNet, moves: list[MoveInput]) -> list[np.ndarray]:
+def decode_logits(net: InferenceNet, gc: np.ndarray, pc: np.ndarray, slots: np.ndarray,
+                  sizes: list[int], rows: np.ndarray | None = None) -> list[np.ndarray]:
     """Float64 candidate logits (K_b,) per move, from the policy network
-    alone; their softmax is what ``policy_value_forward`` gives, bit for
-    bit. A move's logits may differ from a call with that move alone in
-    the last bits; a one-move call is the reference."""
-    gc, pc, slots, sizes = stack_contexts(moves)
-    logits = _policy_scores(net, gc, pc.mean(axis=1), slots, sizes)
+    alone; their softmax is what ``policy_value_forward`` gives on the
+    same rows, bit for bit. ``pc`` (B, 2w, D) are the moves' problem
+    windows, pooled here; ``gc``, ``slots``, ``sizes`` and ``rows`` are as
+    ``_policy_scores`` (and ``block_contexts``) take them. A move's logits
+    may differ from a call with that move alone in the last bits; a
+    one-move call is the reference."""
+    logits = _policy_scores(net, gc, pc.mean(axis=1), slots, sizes, rows)
     bounds = list(accumulate(sizes, initial=0))
     return [logits[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -500,8 +531,8 @@ def policy_value_forward(net: InferenceNet, gc: np.ndarray, terms: np.ndarray,
                          sizes: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """(p (K_b,) per move, v3 (B, 3)) for a batch of moves; what p_forward
     and v_forward compute with training=False. ``terms`` (B, D + C) are
-    the moves' ``window_terms``; ``gc``, ``slots`` and ``sizes`` are as
-    ``stack_contexts`` gives them."""
+    the moves' ``window_terms``; ``gc``, ``slots`` (one row per
+    candidate) and ``sizes`` are as ``_policy_scores`` takes them."""
     dim = net.v_seq[0].w.shape[1]
     h = np.concatenate([gc, terms[:, dim:]], axis=1)
     logits, _ = dense_forward(_folded_stack(h, net.v_fc, dense_forward), *net.v_head)
@@ -533,9 +564,10 @@ def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
     of a frozen snapshot.
 
     Each state's contexts are ids (``context_ids``), gathered once for
-    the batch: ``gc`` by one scatter, the candidate slot rows by one
-    ``table.padded`` gather per run of states that share a table (per
-    distinct table where states come grouped by graph, as in self-play).
+    the batch (``_gather``): ``gc`` by one scatter, the candidate slot
+    rows by one ``table.padded`` gather per run of states that share a
+    table (per distinct table where states come grouped by graph, as in
+    self-play).
     A move's ``window_terms`` depend only on (snapshot, table, window), so
     they are memoised on the table (``_window_memo``), and the windows a
     batch meets first go through ``window_terms`` together; no leaf
@@ -544,15 +576,14 @@ def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
     window's terms may differ in the last bits from a one-window call,
     and they come from the batch that first met the window.
     """
-    width = 4 * cfg.feature_bins
     outs: list[tuple[list[int], bool]] = []
     sizes: list[int] = []
-    hot: list[int] = []
+    hot: list[list[int]] = []
     keys: list[tuple[dict, bytes]] = []
     runs: list[tuple[EmbeddingTable, list[int]]] = []  # (table, member ids) per run
     missing: dict[tuple[int, bytes], tuple] = {}  # windows no memo holds yet
     table = None
-    for b, (state, tab) in enumerate(zip(states, tables)):
+    for state, tab in zip(states, tables):
         actions, members, bins, capped = context_ids(state, tab, cfg)
         if tab is not table:
             table, ids = tab, []
@@ -564,7 +595,7 @@ def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
         if key not in memo:
             missing[id(table), key] = (table, memo, key, window)
         keys.append((memo, key))
-        hot += [b * width + i for i in bins]
+        hot.append(bins)
         sizes.append(len(actions))
         outs.append((actions, capped))
 
@@ -574,10 +605,7 @@ def evaluate_frozen(net: InferenceNet, cfg, states: list[ColoringState],
         for (_, memo, key, _), row in zip(new, window_terms(net, pc)):
             memo[key] = row
     terms = np.array([memo[key] for memo, key in keys])
-    slots = np.concatenate([table.padded[ids] for table, ids in runs])
-    slots = slots.reshape(sum(sizes), -1)  # (N * m, D) -> (N, m * D)
-    gc = np.zeros((len(states), width), dtype=slots.dtype)
-    gc.reshape(-1)[hot] = 1.0
+    gc, slots = _gather(cfg, runs, hot)
     p_list, v3 = policy_value_forward(net, gc, terms, slots, sizes)
     values = (v3[:, 0] - v3[:, 2]).tolist()
     return [NetOutput(actions=actions, p=p, v3=v, v=value, capped=capped)

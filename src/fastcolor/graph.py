@@ -373,6 +373,9 @@ class GraphSource:
                 raise ParameterError("ws takes (n, k, beta)")
         else:
             raise ParameterError(f"unknown graph source kind {self.kind!r}")
+        for x in self.params[:len(self.params) - 1]:  # n, and ws's k
+            if not (float(x).is_integer() and x >= 0):
+                raise ParameterError(f"{self.kind} sizes must be whole numbers >= 0, got {x!r}")
 
     def build(self) -> Graph:
         if self.kind == "er":

@@ -22,7 +22,7 @@ from .coloring import ColoringState, Outcome, compute_order, outcome_vs_baseline
 from .config import Config
 from .embedding import EmbeddingTable, compute_embeddings
 from .errors import ParameterError, StateError
-from .fastcolornet import build_contexts, count_capped, decode_logits, freeze
+from .fastcolornet import block_contexts, context_ids, count_capped, decode_logits, freeze
 from .graph import Graph
 from .mcts import SearchTree, evaluate_batch
 from .nn import softmax
@@ -59,12 +59,14 @@ class NetPolicy:
 
     At a move it has no plan for, ``choose`` drafts moves with the greedy
     heuristic on the caller's state, up to ``block`` non-forced ones or
-    until their candidate rows reach ``DRAFT_ROWS``, building each one's
-    contexts just before its draft move, and scores them all in one
-    ``decode_logits`` call. It keeps the drafts up to the first one the
-    net's argmax differs from, plus the net's own choice there (its context
-    was exact), undoes every draft, and answers the following calls from
-    that plan (``_Plan.follows``). A fully kept block doubles ``block``, up
+    until their candidate rows reach ``DRAFT_ROWS``, reading each one's
+    context ids (``context_ids``) just before its draft move, and scores
+    them all in one ``decode_logits`` call on the block's arrays
+    (``block_contexts``, which hold each distinct member-slot row once).
+    It keeps the drafts up to the first one the net's argmax differs
+    from, plus the net's own choice there (its context was exact), undoes
+    every draft, and answers the following calls from that plan
+    (``_Plan.follows``). A fully kept block doubles ``block``, up
     to ``DRAFT_ROWS`` (the row budget then binds first); a rejection or a
     new state resets it to 1.
 
@@ -107,7 +109,9 @@ class NetPolicy:
         t0 = state.t
         actions: list[int] = []
         capped: list[int] = []
-        moves, at = [], []
+        # per drafted non-forced move: its candidates, t, index in actions
+        # and hot gc bins; members concatenates the moves' member ids
+        cands, ts, at, hot, members = [], [], [], [], []
         table = None
         rows = 0
         while True:
@@ -116,23 +120,28 @@ class NetPolicy:
             if aset.existing:
                 if table is None:
                     table = self.cache.table(state.graph, self.store, self.cfg, self.version)
-                mi = build_contexts(state, table, self.cfg, aset, count=False)
-                if mi.capped:
+                move, ids, bins, cut = context_ids(state, table, self.cfg, aset, count=False)
+                if cut:
                     capped[-1] = len(aset.existing)
-                moves.append(mi)
+                cands.append(move)
+                ts.append(state.t)
                 at.append(len(actions))
-                rows += len(mi.actions)
+                members += ids
+                hot.append(bins)
+                rows += len(move)
             # greedy_action: the smallest valid color, a new one only when forced
             actions.append(aset.existing[0] if aset.existing else aset.new_color)
-            if len(moves) == self.block or rows >= DRAFT_ROWS:
-                break  # the last draft: no context is built after it
+            if len(cands) == self.block or rows >= DRAFT_ROWS:
+                break  # the last draft: no context is read after it
             state.apply_inplace(actions[-1])
             if state.is_terminal:
                 break
         while state.t > t0:
             state.undo()
-        if moves:
-            choices = self._decide(moves, [actions[i] for i in at])
+        if cands:
+            arrays = block_contexts(self.cfg, table, state.order_window(self.cfg.window, ts),
+                                    members, hot)
+            choices = self._decide(cands, arrays, [actions[i] for i in at])
             last = at[len(choices) - 1]
             del actions[last + 1:], capped[last + 1:]
             actions[last] = choices[-1]
@@ -140,26 +149,33 @@ class NetPolicy:
         return _Plan(weakref.ref(state), state.undos, t0, actions, capped,
                      table if any(capped) else None)
 
-    def _decide(self, moves: list, drafts: list[int]) -> list[int]:
-        """The net's choices at the drafted moves, in order, up to the first
-        that differs from its draft; adapts ``block``."""
-        batch = decode_logits(self.net, moves)
+    def _decide(self, cands: list[list[int]], arrays, drafts: list[int]) -> list[int]:
+        """The net's choices at the drafted moves, each offering the
+        candidates of ``cands``, in order, up to the first that differs
+        from its draft; adapts ``block``. ``arrays`` are the moves'
+        ``block_contexts``."""
+        gc, pc, slots, rows = arrays
+        sizes = [len(move) for move in cands]
+        batch = decode_logits(self.net, gc, pc, slots, sizes, rows)
         self.forwards += 1
-        self.drafted += len(moves)
+        self.drafted += len(cands)
         choices: list[int] = []
-        for mi, lg, draft in zip(moves, batch, drafts):
+        lo = 0
+        for b, (move, lg, draft) in enumerate(zip(cands, batch, drafts)):
             if not _near_tie(lg, self._eps):
                 pick = int(lg.argmax())
             else:  # decide as the move alone does: argmax of its softmax
-                if len(moves) > 1 and self._rescore_ties:
-                    lg = decode_logits(self.net, [mi])[0]
+                if len(cands) > 1 and self._rescore_ties:
+                    (lg,) = decode_logits(self.net, gc[b:b + 1], pc[b:b + 1],
+                                          slots[rows[lo:lo + len(move)]], [len(move)])
                     self.forwards += 1
                 pick = int(np.argmax(softmax(lg)))
-            choices.append(mi.actions[pick])
+            choices.append(move[pick])
             if choices[-1] != draft:
                 break
             self.kept += 1
-        full = len(choices) == len(moves) and choices[-1] == drafts[-1]
+            lo += len(move)
+        full = len(choices) == len(cands) and choices[-1] == drafts[-1]
         self.block = min(2 * self.block, DRAFT_ROWS) if full else 1
         return choices
 

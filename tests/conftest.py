@@ -12,7 +12,6 @@ from fastcolor.fastcolornet import (
     InferenceNet,
     MoveInput,
     policy_value_forward,
-    stack_contexts,
     window_terms,
 )
 from fastcolor.graph import Graph
@@ -82,6 +81,17 @@ def random_move(cfg, k: int, rng) -> MoveInput:
                      pc=draw(2 * w, dim), pc_vertices=np.full(2 * w, -1),
                      cand_sets=draw(k, m, dim), cand_vertices=np.full((k, m), -1),
                      actions=list(range(k)))
+
+
+def stack_contexts(moves: list[MoveInput]):
+    """``(gc, pc, slots, sizes)``: the moves' graph contexts (B, G) and
+    problem windows (B, 2w, D) stacked, the member-slot rows of every
+    candidate concatenated (N, m * D), and the moves' candidate counts;
+    the arrays ``decode_logits`` and ``policy_value_forward`` take, built
+    move by move."""
+    sizes = [mi.cand_sets.shape[0] for mi in moves]
+    slots = np.concatenate([mi.cand_sets.reshape(k, -1) for mi, k in zip(moves, sizes)])
+    return np.stack([mi.gc for mi in moves]), np.stack([mi.pc for mi in moves]), slots, sizes
 
 
 def forward_moves(net: InferenceNet, moves: list[MoveInput]):

@@ -105,6 +105,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and "abc" in err
 
+    @pytest.mark.parametrize("source", ["er:inf,0.5:seed=1", "er:nan,0.5:seed=1",
+                                        "ws:10,4.5,0.5:seed=1", "er:-0.5,0.5:seed=1"])
+    def test_size_not_a_whole_number_fails_cleanly(self, tmp_path, capsys, source):
+        out = tmp_path / "g"
+        assert main(["gen", "--sources", source, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "whole numbers" in err
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestColor:
     def test_heuristic_prints_count(self, k4_file, capsys):
@@ -260,7 +269,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["candidate_cap = 1", "window = 0", "feature_bins = 0",
                                       "color_set_size = 0", "v_layers = 0", "p_layers = 0",
-                                      "seq_layers = 0", "seq_filter = -1"])
+                                      "seq_layers = 0", "seq_filter = -1", "embed_dim = 0",
+                                      "embed_hidden = 0", "v_width = 0", "p_width = 0",
+                                      "seq_channels = 0", "dirichlet_alpha = -1",
+                                      "dirichlet_alpha = 0", "dirichlet_frac = 1.5"])
     def test_unsound_config_fails_cleanly(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
         path = tmp_path / "bad.cfg"

@@ -69,9 +69,17 @@ def test_validation():
                 dict(walk_budget=-3)):
         with pytest.raises(ParameterError):
             Config(**bad)
+    for bad in (dict(embed_dim=0), dict(v_width=0), dict(seq_channels=0),
+                dict(root_noise=True, dirichlet_alpha=0.0),
+                dict(root_noise=True, dirichlet_frac=1.5)):
+        with pytest.raises(ParameterError):
+            Config(**bad)
     for edge in (dict(walk_rate=0.0), dict(walk_rate=1.0), dict(walk_length=0),
                  dict(walk_budget=0),
-                 dict(candidate_cap=2, window=1, feature_bins=1, color_set_size=1)):
+                 dict(candidate_cap=2, window=1, feature_bins=1, color_set_size=1),
+                 dict(embed_dim=1, embed_hidden=1, v_width=1, p_width=1, seq_channels=1),
+                 dict(root_noise=True, dirichlet_alpha=1e-3, dirichlet_frac=0.0),
+                 dict(root_noise=True, dirichlet_frac=1.0)):
         Config(**edge)
 
 
@@ -79,7 +87,11 @@ def test_validation():
     dict(candidate_cap=1), dict(candidate_cap=0), dict(candidate_cap=-3), dict(window=0),
     dict(feature_bins=0), dict(color_set_size=0), dict(window=-1), dict(v_layers=0),
     dict(p_layers=0), dict(seq_layers=0), dict(seq_layers=-2), dict(seq_filter=-1),
-    dict(seq_filter=0),
+    dict(seq_filter=0), dict(embed_dim=0), dict(embed_hidden=0), dict(v_width=0),
+    dict(p_width=0), dict(seq_channels=0), dict(v_width=-4), dict(dirichlet_alpha=0.0),
+    dict(dirichlet_alpha=-1.0), dict(dirichlet_alpha=float("nan")),
+    dict(dirichlet_alpha=float("inf")), dict(dirichlet_frac=1.5), dict(dirichlet_frac=-0.1),
+    dict(dirichlet_frac=float("nan")),
 ])
 def test_unsound_sizes_rejected(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):

@@ -28,7 +28,6 @@ from fastcolor.fastcolornet import (
     freeze,
     init_fastcolornet,
     p_forward,
-    stack_contexts,
     v_forward,
     window_terms,
 )
@@ -55,6 +54,7 @@ from conftest import (
     path_graph,
     random_move,
     randomize_inference_params,
+    stack_contexts,
 )
 
 
@@ -849,15 +849,21 @@ class TestSplitDecode:
         seen = []
         split = selfplay.decode_logits
 
-        def reference(mi):
+        def reference(gc, pc, cands):
+            mi = fastcolornet.MoveInput(table=None, graph=None, gc=gc, pc=pc, pc_vertices=None,
+                                        cand_sets=cands, cand_vertices=None,
+                                        actions=list(range(len(cands))))
             p, _, _ = p_forward(policy.store, policy.cfg, [mi], training=False,
-                                pc_override=mi.pc[None].astype(np.float64),
-                                cand_override=[mi.cand_sets.astype(np.float64)])
+                                pc_override=pc[None].astype(np.float64),
+                                cand_override=[cands.astype(np.float64)])
             return p[0]
 
-        def spy(net, moves):
-            logits = split(net, moves)
-            seen.extend((softmax(lg), reference(mi)) for lg, mi in zip(logits, moves))
+        def spy(net, gc, pc, slots, sizes, rows=None):
+            logits = split(net, gc, pc, slots, sizes, rows)
+            rows_ = slots if rows is None else slots[rows]
+            cands = np.split(rows_.reshape(len(rows_), -1, pc.shape[2]), np.cumsum(sizes)[:-1])
+            seen.extend((softmax(lg), reference(*move))
+                        for lg, move in zip(logits, zip(gc, pc, cands)))
             return logits
 
         mp.setattr(selfplay, "decode_logits", spy)
@@ -935,7 +941,7 @@ class TestSplitDecode:
         moves = [random_move(cfg, k, rng) for k in sizes]
         net = freeze(store, cfg)
         p_list, _ = forward_moves(net, moves)
-        logits = decode_logits(net, moves)
+        logits = decode_logits(net, *stack_contexts(moves))
         assert len(p_list) == len(logits) == len(moves)
         for p, lg in zip(p_list, logits):
             assert lg.dtype == np.float64 and np.array_equal(p, softmax(lg))
@@ -948,6 +954,103 @@ class TestSplitDecode:
         while not state.is_terminal:
             state.apply_inplace(policy.choose(state))
         assert np.array_equal(state.color_of, greedy_color(g, cfg.order_kind).assignment)
+
+
+class TestBlockIds:
+    """Decode scores a draft block from ids (``block_contexts``): one
+    gather per block, each distinct member-slot row multiplied once. The
+    reference is each drafted state's ``build_contexts``, stacked."""
+
+    @staticmethod
+    def draft(state, table, cfg, block):
+        """Greedy drafts from ``state``, as ``NetPolicy`` takes them, up to
+        ``block`` non-forced moves, then undone: ``(ts, members, hot,
+        moves)``, ``moves`` being each drafted move's ``build_contexts``."""
+        t0 = state.t
+        ts, members, hot, moves = [], [], [], []
+        while not state.is_terminal and len(moves) < block:
+            aset = state.valid_actions()
+            if aset.existing:
+                _, ids, bins, _ = fastcolornet.context_ids(state, table, cfg, aset, count=False)
+                ts.append(state.t)
+                members += ids
+                hot.append(bins)
+                moves.append(build_contexts(state, table, cfg, aset, count=False))
+            state.apply_inplace(state.greedy_action())
+        while state.t > t0:
+            state.undo()
+        return ts, members, hot, moves
+
+    @given(kind=st.sampled_from(["er", "ws"]), n=st.integers(6, 40), seed=st.integers(0, 999),
+           order_kind=st.sampled_from(HEURISTIC_KINDS), cap=st.integers(2, 5),
+           dtype=st.sampled_from(["float64", "float32"]), width=st.sampled_from([16, 50]),
+           start=st.floats(0.0, 0.9), block=st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_block_matches_build_contexts(self, kind, n, seed, order_kind, cap, dtype, width,
+                                          start, block):
+        # p_width 50 is p.fc.0's input width at these sizes: a residual first block
+        cfg = tiny_cfg(dtype=dtype, order_kind=order_kind, candidate_cap=cap, p_width=width)
+        g = gen_er(n, 0.4, seed) if kind == "er" else gen_ws(n, 4, 0.5, seed)
+        store = init_fastcolornet(cfg, seed=seed)
+        rng = make_rng(seed)
+        randomize_inference_params(store, rng)
+        net = freeze(store, cfg)
+        table = compute_embeddings(g, store, cfg, seed=seed)
+        state = ColoringState(g, compute_order(g, order_kind))
+        while state.t < int(start * n):  # random colors, so colors hold several members
+            actions = state.valid_actions().actions()
+            state.apply_inplace(actions[rng.integers(len(actions))])
+        ts, members, hot, moves = self.draft(state, table, cfg, block)
+        if not moves:
+            return
+        gc, pc, slots, rows = fastcolornet.block_contexts(
+            cfg, table, state.order_window(cfg.window, ts), members, hot)
+        want_gc, want_pc, want_slots, sizes = stack_contexts(moves)
+        for got, want in ((gc, want_gc), (pc, want_pc), (slots[rows], want_slots)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        # one slot row per distinct key of m member ids
+        m = cfg.color_set_size
+        keys = [tuple(members[i:i + m]) for i in range(0, len(members), m)]
+        key_of: dict[int, tuple] = {}
+        for row, key in zip(rows.tolist(), keys):
+            assert key_of.setdefault(row, key) == key
+        assert len(key_of) == len(set(key_of.values())) == len(slots)
+
+        got = np.concatenate(decode_logits(net, gc, pc, slots, sizes, rows))
+        want = np.concatenate(decode_logits(net, gc, pc, slots[rows], sizes))
+        tol = 1e-12 if dtype == "float64" else 1e-5 * (1.0 + np.abs(want).max())
+        assert np.abs(got - want).max() <= tol
+
+        # the one-move call on the block's slice: today's bits
+        lo = 0
+        for b, mi in enumerate(moves):
+            k = len(mi.actions)
+            (alone,) = decode_logits(net, gc[b:b + 1], pc[b:b + 1], slots[rows[lo:lo + k]], [k])
+            (today,) = decode_logits(net, *stack_contexts([mi]))
+            assert np.array_equal(alone, today)
+            lo += k
+
+    def test_slot_product_sees_distinct_rows(self, monkeypatch):
+        cfg = tiny_cfg()
+        g = gen_ws(200, 4, 0.5, seed=3)
+        # a fresh model keeps every draft: long blocks that share slot rows
+        policy = NetPolicy(init_fastcolornet(cfg), cfg, EmbeddingCache(), version=0)
+        calls = []
+        scores = fastcolornet._policy_scores
+
+        def spy(net, gc, pooled_pc, slots, sizes, rows=None):
+            calls.append((slots.copy(), rows, sum(sizes)))
+            return scores(net, gc, pooled_pc, slots, sizes, rows)
+
+        monkeypatch.setattr(fastcolornet, "_policy_scores", spy)
+        policy_colors(g, policy, cfg)
+        assert calls
+        for slots, rows, total in calls:
+            assert rows is not None and len(rows) == total
+            assert sorted(set(rows.tolist())) == list(range(len(slots)))
+            assert len(np.unique(slots, axis=0)) == len(slots)
+        assert sum(len(slots) for slots, _, _ in calls) < sum(total for *_, total in calls) / 2
 
 
 # -- training stacks -----------------------------------------------------

@@ -169,3 +169,15 @@ class TestGraphSource:
     def test_bad_kind_rejected(self):
         with pytest.raises(ParameterError):
             GraphSource("triangular", (3,), seed=0)
+
+    @pytest.mark.parametrize("text", ["er:inf,0.5:seed=1", "er:nan,0.5:seed=1",
+                                      "er:-0.5,0.5:seed=1", "er:-1,0.5:seed=1",
+                                      "er:10.5,0.5:seed=1", "ws:10,4.5,0.5:seed=1",
+                                      "ws:10,inf,0.5:seed=1", "ws:nan,4,0.5:seed=1"])
+    def test_sizes_must_be_whole_numbers(self, text):
+        with pytest.raises(ParameterError, match="whole numbers"):
+            GraphSource.parse(text)
+
+    def test_whole_float_sizes_accepted(self):
+        assert GraphSource.parse("ws:10.0,4,0.5:seed=1").build().n == 10
+        assert GraphSource.parse("er:0,0.5:seed=1").build().n == 0

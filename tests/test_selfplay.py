@@ -39,6 +39,7 @@ from conftest import (
     crown_graph,
     policy_forward,
     randomize_inference_params,
+    stack_contexts,
 )
 
 
@@ -398,7 +399,7 @@ class TestNetPolicy:
         def refuse(*args):
             raise AssertionError("network called on a forced move")
 
-        monkeypatch.setattr(selfplay, "build_contexts", refuse)
+        monkeypatch.setattr(selfplay, "context_ids", refuse)
         monkeypatch.setattr(selfplay, "decode_logits", refuse)
         cfg = net_cfg()
         cache = EmbeddingCache()
@@ -439,7 +440,7 @@ def alone_choice(policy, state) -> int:
         return aset.new_color
     table = policy.cache.table(state.graph, policy.store, policy.cfg, policy.version)
     mi = build_contexts(state, table, policy.cfg, aset, count=False)
-    (logits,) = decode_logits(policy.net, [mi])
+    (logits,) = decode_logits(policy.net, *stack_contexts([mi]))
     return mi.actions[int(np.argmax(softmax(logits)))]
 
 
@@ -505,9 +506,9 @@ class TestSpeculativeDecode:
             monkeypatch.setattr(selfplay, "DRAFT_ROWS", draft_rows)
         rows, split = [], selfplay.decode_logits
 
-        def spy(net, moves):
-            rows.append(sum(len(mi.actions) for mi in moves))
-            return split(net, moves)
+        def spy(net, gc, pc, slots, sizes, rows_=None):
+            rows.append(sum(sizes))
+            return split(net, gc, pc, slots, sizes, rows_)
 
         monkeypatch.setattr(selfplay, "decode_logits", spy)
         cfg = net_cfg(candidate_cap=cap)
@@ -525,9 +526,9 @@ class TestSpeculativeDecode:
         split = selfplay.decode_logits
         calls = {"batched": 0, "alone": 0}
 
-        def tie(net, moves):
-            logits = split(net, moves)
-            if len(moves) == 1:
+        def tie(net, gc, pc, slots, sizes, rows=None):
+            logits = split(net, gc, pc, slots, sizes, rows)
+            if len(sizes) == 1:
                 calls["alone"] += 1
                 return logits
             calls["batched"] += 1
