@@ -88,11 +88,12 @@ class ActionSet:
 class ColoringState:
     """Mutable partial coloring along a fixed visitation order.
 
-    The next vertex to color is ``order[t]``. ``color_of`` holds -1 for
-    uncolored vertices. ``color_members[c]`` lists the vertices of color
-    c in the order they were colored (newest last). ``_colors`` mirrors
-    ``color_of`` as a plain list and ``_order`` mirrors ``order``, so the
-    per-move loops read no NumPy scalars. ``_earlier[v]`` lists the
+    The next vertex to color is ``order[t]``. ``_colors[v]`` is v's color,
+    -1 while uncolored: a plain list, the one record of the coloring, so
+    the per-move loops read and write no NumPy scalars; ``color_of`` is a
+    read-only array copy of it. ``color_members[c]`` lists the vertices of
+    color c in the order they were colored (newest last). ``_order``
+    mirrors ``order`` as a list. ``_earlier[v]`` lists the
     neighbors of v that come before it in the order: they are all colored
     when v is current, so the colors v may not take are read from them on
     demand, and stepping or undoing a move touches no neighbor.
@@ -102,7 +103,7 @@ class ColoringState:
     smaller than before knows every move it saw is still in place.
     """
 
-    __slots__ = ("graph", "order", "t", "color_of", "colors_used", "color_members",
+    __slots__ = ("graph", "order", "t", "colors_used", "color_members",
                  "undos", "_colors", "_order", "_earlier", "_padded", "__weakref__")
 
     def __init__(self, graph: Graph, order: np.ndarray | None = None):
@@ -115,7 +116,6 @@ class ColoringState:
                 raise ParameterError("order must be a permutation of 0..n-1")
         self.order = order
         self.t = 0
-        self.color_of = np.full(graph.n, -1, dtype=np.int32)
         self.colors_used = 0
         self.color_members: list[list[int]] = []
         self.undos = 0
@@ -128,7 +128,6 @@ class ColoringState:
         other.graph = self.graph
         other.order = self.order
         other.t = self.t
-        other.color_of = self.color_of.copy()
         other.colors_used = self.colors_used
         other.color_members = [m.copy() for m in self.color_members]
         other.undos = 0
@@ -137,6 +136,13 @@ class ColoringState:
         other._earlier = self._earlier
         other._padded = self._padded
         return other
+
+    @property
+    def color_of(self) -> np.ndarray:
+        """Each vertex's color, -1 while uncolored, as a new read-only array."""
+        colors = np.array(self._colors, dtype=np.int32)
+        colors.flags.writeable = False
+        return colors
 
     @property
     def is_terminal(self) -> bool:
@@ -169,7 +175,6 @@ class ColoringState:
             for u in self._earlier[v]:
                 if colors[u] == action:
                     raise ContractError(f"color {action} conflicts at vertex {v}")
-        self.color_of[v] = action
         colors[v] = action
         self.color_members[action].append(v)
         self.t += 1
@@ -183,7 +188,6 @@ class ColoringState:
         v = self._order[self.t]
         color = self._colors[v]
         self._colors[v] = -1
-        self.color_of[v] = -1
         members = self.color_members[color]
         members.pop()
         if not members:  # this move opened the color, the newest one

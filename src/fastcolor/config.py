@@ -122,6 +122,14 @@ class Config:
         if not 0.0 < self.dirichlet_alpha < float("inf") or not 0.0 <= self.dirichlet_frac <= 1.0:
             raise ParameterError(
                 "dirichlet_alpha must be finite and > 0, and dirichlet_frac in [0, 1]")
+        if min(self.simulations, self.batch_size, self.buffer_capacity) < 1:
+            raise ParameterError("simulations, batch_size and buffer_capacity must be >= 1")
+        if min(self.steps_per_iteration, self.train_iterations, self.embed_iterations,
+               self.lstm_steps) < 0:
+            raise ParameterError("steps_per_iteration, train_iterations, embed_iterations "
+                                 "and lstm_steps must be >= 0")
+        if not 0.0 < self.lr < float("inf") or not 0.0 <= self.ucb_c < float("inf"):
+            raise ParameterError("lr must be finite and > 0, and ucb_c finite and >= 0")
         if self.seq_filter < 1 or self.seq_filter % 2 == 0:
             raise ParameterError("seq_filter must be odd and >= 1")
         if self.order_kind not in HEURISTIC_KINDS:

@@ -34,14 +34,12 @@ from .rng import mix64
 __all__ = [
     "encode_onehot",
     "degree_onehot_matrix",
-    "sampled_neighbor",
     "sampled_neighbors_all",
     "EmbeddingTable",
     "init_transfer_params",
     "transfer_forward",
     "transfer_backward",
     "compute_embeddings",
-    "sample_walk",
     "walks_forward",
     "walks_backward",
     "walk_value",
@@ -106,14 +104,6 @@ def sampled_neighbors_all(g: Graph, t: int, seed: int) -> np.ndarray:
     return nbr
 
 
-def sampled_neighbor(g: Graph, v: int, t: int, seed: int) -> int | None:
-    deg = g.degree(v)
-    if deg == 0:
-        return None
-    h = int(mix64(np.uint64(seed), np.uint64(v), np.uint64(t)))
-    return int(g.neighbors_of(v)[h % deg])
-
-
 @dataclass
 class EmbeddingTable:
     """Per-iteration embedding tables for one graph.
@@ -125,7 +115,6 @@ class EmbeddingTable:
 
     graph_key: str
     seed: int
-    iterations: int
     tables: np.ndarray  # (T+1, V, D)
     capped_moves: int = field(default=0, compare=False)  # moves cut to candidate_cap
     # (weakref to an inference snapshot, its memo of pooled window terms);
@@ -214,8 +203,6 @@ def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> Embedding
     depend on the other rows (two or more) of its call, so the tables are
     bit-identical to one call per iteration; at some float64 widths the
     BLAS sums a row by its place in the call, and the last bit can differ."""
-    if cfg.embed_iterations < 0:
-        raise ParameterError("iterations must be >= 0")
     dtype = store.dtype
     tables = np.zeros((cfg.embed_iterations + 1, g.n, cfg.embed_dim), dtype=dtype)
     deg1hot = degree_onehot_matrix(g, cfg.feature_bins, dtype=dtype)
@@ -229,27 +216,7 @@ def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> Embedding
             feats = _message_features(deg1hot, tables[t - 1], nbrs[lo:hi], lo)
             # index the result so the block's tapes are freed right away
             tables[t, lo:hi] = transfer_forward(store, cfg, feats)[0]
-    return EmbeddingTable(graph_key=g.key(), seed=seed, iterations=cfg.embed_iterations, tables=tables)
-
-
-def sample_walk(g: Graph, cfg, vertex: int, length: int, seed: int) -> list[tuple[int, int, int | None]]:
-    """The reverse message chain ending at ``vertex``.
-
-    Element (t, v, j) says: at iteration t, vertex v consumed the message
-    from j (None when v is isolated; the chain stops there because a zero
-    message carries no gradient). At most min(length, T) elements.
-    """
-    chain: list[tuple[int, int, int | None]] = []
-    v = vertex
-    t = cfg.embed_iterations
-    while t >= 1 and len(chain) < length:
-        j = sampled_neighbor(g, v, t, seed)
-        chain.append((t, v, j))
-        if j is None:
-            break
-        v = j
-        t -= 1
-    return chain
+    return EmbeddingTable(graph_key=g.key(), seed=seed, tables=tables)
 
 
 def _chain_levels(walks, top: int, length: int):
@@ -258,7 +225,7 @@ def _chain_levels(walks, top: int, length: int):
     Level k holds iteration ``top - k`` of every chain still running:
     (t, rows, verts, nbrs) with the walk indices in ascending order, the
     chain vertex and its sampled neighbor (-1 when isolated, which ends
-    that chain). Each row's draw is ``sample_walk``'s.
+    that chain). Each row draws its neighbor as ``sampled_neighbors_all`` does.
     """
     seeds = np.array([table.seed for _, table, _ in walks], dtype=np.uint64)
     rows = np.arange(len(walks))

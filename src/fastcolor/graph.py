@@ -106,23 +106,6 @@ class Graph:
         i = int(np.searchsorted(row, v))
         return i < row.shape[0] and int(row[i]) == v
 
-    def validate(self) -> None:
-        """Raise ParameterError if any structural invariant is violated."""
-        if self.offsets.shape != (self.n + 1,) or self.offsets[0] != 0:
-            raise ParameterError("bad offsets")
-        if int(self.offsets[-1]) != self.neighbors.shape[0]:
-            raise ParameterError("offsets do not cover neighbor array")
-        for v in range(self.n):
-            row = self.neighbors_of(v)
-            if row.size and (np.any(np.diff(row) <= 0) or row.min() < 0 or row.max() >= self.n):
-                raise ParameterError(f"row {v} unsorted, duplicated, or out of range")
-            if np.any(row == v):
-                raise ParameterError(f"self loop at {v}")
-        for v in range(self.n):
-            for u in self.neighbors_of(v):
-                if not self.has_edge(int(u), v):
-                    raise ParameterError(f"edge {v}->{u} missing its reverse")
-
     def memo(self, name: str, build):
         """``build()``, computed once per graph and kept on it; the graph
         is immutable, so the value never goes stale."""

@@ -74,7 +74,8 @@ class Model:
     inference snapshot computed under it.
 
     ``version`` keys both caches; it must change whenever ``store``'s
-    parameters do, or stale tables and snapshots would be served.
+    parameters do, or stale tables and snapshots would be served. Models
+    of one training run share ``cache``, so equal versions share tables.
     """
 
     store: ParamStore
@@ -272,11 +273,10 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     train_graphs = load_sources(cfg.train_sources)
     eval_graphs = load_sources(cfg.eval_sources) if cfg.eval_sources else train_graphs
 
-    candidate = Model(init_fastcolornet(cfg), version=0)
+    buffer = ReplayBuffer(cfg.buffer_capacity)
+    candidate = Model(init_fastcolornet(cfg), version=0, cache=buffer.embeddings)
     adam = AdamState.for_store(candidate.store, lr=cfg.lr)
     baseline = bootstrap_oracle()
-    buffer = ReplayBuffer(cfg.buffer_capacity)
-    # the incumbent's tables live in the buffer's cache, which training reads
     incumbent = Model(candidate.store.copy(), version=0, cache=buffer.embeddings)
     incumbent_avg = float(np.mean(
         [policy_colors(g, GreedyPolicy(), cfg) for g in eval_graphs]))
@@ -291,11 +291,7 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     for it in range(1, cfg.train_iterations + 1):
         t0 = time.perf_counter()
 
-        # until this iteration trains it, a candidate that was just promoted
-        # (or is fresh) holds the incumbent's parameters; self-play then
-        # scores with the incumbent, so one cache holds each table
-        player = incumbent if candidate.version == incumbent.version else candidate
-        results = run_selfplay(train_graphs, cfg, lambda g: player.evaluator(g, cfg), baseline,
+        results = run_selfplay(train_graphs, cfg, lambda g: candidate.evaluator(g, cfg), baseline,
                                buffer, seed=int(mix64(cfg.seed, 2, it)),
                                log_path=episode_log)
         win_rate = (float(np.mean([r.z is Outcome.WIN for r in results]))
@@ -329,8 +325,9 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
             losses.append(loss)
         mean_loss = float(np.mean(losses)) if losses else 0.0
 
+        if candidate.version != incumbent.version:
+            buffer.embeddings.drop(candidate.version)
         candidate.version += 1
-        candidate.cache.drop_below(candidate.version)
         gate = gate_model(candidate.policy(cfg), incumbent_avg, eval_graphs, cfg)
         gate_history.append((it, gate.accepted, gate.candidate_avg, gate.incumbent_avg))
         if gate.accepted:
@@ -339,7 +336,6 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
             baseline = BaselineOracle(incumbent.policy(cfg))
             incumbent_avg = gate.candidate_avg
             buffer.embeddings.drop_below(incumbent.version)
-            buffer.embeddings.adopt(candidate.cache, incumbent.version)
             save_checkpoint(ckpt_path, Checkpoint(
                 params=incumbent.store, adam=adam, config_hash=cfg.hash(),
                 iteration=it, gate_history=_history_array(gate_history)))

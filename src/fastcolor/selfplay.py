@@ -219,7 +219,7 @@ class _Plan:
         if not 0 <= i < len(self.actions):
             return False
         while self.checked < i:
-            if state.color_of[state.order[self.t0 + self.checked]] != self.actions[self.checked]:
+            if state._colors[state._order[self.t0 + self.checked]] != self.actions[self.checked]:
                 return False
             self.checked += 1
         return True
@@ -229,7 +229,9 @@ class EmbeddingCache:
     """Lazy per-(graph, parameter version) message-passing tables.
 
     Tables are immutable once computed; a version bump (new gated
-    parameters) keys fresh entries instead of mutating old ones.
+    parameters) keys fresh entries instead of mutating old ones. Equal
+    versions mean equal parameters, so every model of a training run
+    shares one cache and each table is computed once.
     """
 
     def __init__(self) -> None:
@@ -250,12 +252,9 @@ class EmbeddingCache:
         """Free tables computed under superseded parameters."""
         self._tables = {k: v for k, v in self._tables.items() if k[1] >= version}
 
-    def adopt(self, other: "EmbeddingCache", version: int) -> None:
-        """Share ``other``'s tables of ``version``, computed from the same
-        parameters; tables are immutable, so both caches may hold them."""
-        for key, table in other._tables.items():
-            if key[1] == version:
-                self._tables.setdefault(key, table)
+    def drop(self, version: int) -> None:
+        """Free the tables of one version."""
+        self._tables = {k: v for k, v in self._tables.items() if k[1] != version}
 
 
 # -- baseline -----------------------------------------------------------
@@ -418,8 +417,6 @@ def _segment(g: Graph, start_t: int, cfg: Config, evaluator, baseline: BaselineO
     returns (records, result)."""
     if not 0 <= start_t < g.n:
         raise ParameterError(f"start_t {start_t} outside [0, {g.n})")
-    if cfg.simulations < 1:
-        raise ParameterError("simulations must be >= 1")
     rng = make_rng(seed)
     btrace = baseline.trace(g, cfg)
     t_end = min(start_t + cfg.run_ahead, g.n)

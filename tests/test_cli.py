@@ -272,7 +272,12 @@ class TestTrain:
                                       "seq_layers = 0", "seq_filter = -1", "embed_dim = 0",
                                       "embed_hidden = 0", "v_width = 0", "p_width = 0",
                                       "seq_channels = 0", "dirichlet_alpha = -1",
-                                      "dirichlet_alpha = 0", "dirichlet_frac = 1.5"])
+                                      "dirichlet_alpha = 0", "dirichlet_frac = 1.5",
+                                      "simulations = 0", "batch_size = 0",
+                                      "buffer_capacity = 0", "steps_per_iteration = -1",
+                                      "train_iterations = -1", "embed_iterations = -1",
+                                      "lstm_steps = -1", "lr = -1", "lr = nan",
+                                      "ucb_c = inf"])
     def test_unsound_config_fails_cleanly(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
         path = tmp_path / "bad.cfg"

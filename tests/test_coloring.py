@@ -79,6 +79,18 @@ class TestActionsAndTransitions:
         assert state.colors_used == 0 and nxt.colors_used == 1
         assert state.color_of[0] == -1 and state.color_members == []
 
+    def test_color_of_is_a_read_only_copy(self, k4):
+        state = ColoringState(k4)
+        state.apply_inplace(0)
+        colors = state.color_of
+        assert colors.dtype == np.int32 and colors.tolist() == [0, -1, -1, -1]
+        with pytest.raises(ValueError):
+            colors[1] = 1
+        state.apply_inplace(1)
+        assert colors.tolist() == [0, -1, -1, -1]
+        assert state.color_of.tolist() == [0, 1, -1, -1]
+        assert "color_of" not in ColoringState.__slots__
+
     def test_conflicting_action_rejected(self, k4):
         state = ColoringState(k4)
         state.apply_inplace(0)

@@ -79,7 +79,10 @@ def test_validation():
                  dict(candidate_cap=2, window=1, feature_bins=1, color_set_size=1),
                  dict(embed_dim=1, embed_hidden=1, v_width=1, p_width=1, seq_channels=1),
                  dict(root_noise=True, dirichlet_alpha=1e-3, dirichlet_frac=0.0),
-                 dict(root_noise=True, dirichlet_frac=1.0)):
+                 dict(root_noise=True, dirichlet_frac=1.0),
+                 dict(steps_per_iteration=0, train_iterations=0, embed_iterations=0,
+                      lstm_steps=0, ucb_c=0.0),
+                 dict(simulations=1, batch_size=1, buffer_capacity=1, lr=1e-12)):
         Config(**edge)
 
 
@@ -91,7 +94,11 @@ def test_validation():
     dict(p_width=0), dict(seq_channels=0), dict(v_width=-4), dict(dirichlet_alpha=0.0),
     dict(dirichlet_alpha=-1.0), dict(dirichlet_alpha=float("nan")),
     dict(dirichlet_alpha=float("inf")), dict(dirichlet_frac=1.5), dict(dirichlet_frac=-0.1),
-    dict(dirichlet_frac=float("nan")),
+    dict(dirichlet_frac=float("nan")), dict(simulations=0), dict(simulations=-1),
+    dict(batch_size=0), dict(buffer_capacity=0), dict(steps_per_iteration=-1),
+    dict(train_iterations=-1), dict(embed_iterations=-1), dict(lstm_steps=-1), dict(lr=0.0),
+    dict(lr=-1.0), dict(lr=float("inf")), dict(lr=float("nan")), dict(ucb_c=-0.5),
+    dict(ucb_c=float("inf")), dict(ucb_c=float("nan")),
 ])
 def test_unsound_sizes_rejected(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):

@@ -12,8 +12,6 @@ from fastcolor.embedding import (
     degree_onehot_matrix,
     encode_onehot,
     init_transfer_params,
-    sample_walk,
-    sampled_neighbor,
     sampled_neighbors_all,
     transfer_backward,
     transfer_forward,
@@ -25,9 +23,40 @@ from fastcolor.embedding import (
 from fastcolor.errors import ContractError
 from fastcolor.graph import Graph, gen_er, gen_ws
 from fastcolor.nn import ParamStore, finite_diff_check
-from fastcolor.rng import make_rng
+from fastcolor.rng import make_rng, mix64
 
 from conftest import cycle_graph, onehot_vector, path_graph, star_graph, traced_peak
+
+
+# -- one-vertex references for the vectorized sampling and walk paths --
+
+
+def sampled_neighbor(g: Graph, v: int, t: int, seed: int) -> int | None:
+    deg = g.degree(v)
+    if deg == 0:
+        return None
+    h = int(mix64(np.uint64(seed), np.uint64(v), np.uint64(t)))
+    return int(g.neighbors_of(v)[h % deg])
+
+
+def sample_walk(g: Graph, cfg, vertex: int, length: int, seed: int) -> list[tuple[int, int, int | None]]:
+    """The reverse message chain ending at ``vertex``.
+
+    Element (t, v, j) says: at iteration t, vertex v consumed the message
+    from j (None when v is isolated; the chain stops there because a zero
+    message carries no gradient). At most min(length, T) elements.
+    """
+    chain: list[tuple[int, int, int | None]] = []
+    v = vertex
+    t = cfg.embed_iterations
+    while t >= 1 and len(chain) < length:
+        j = sampled_neighbor(g, v, t, seed)
+        chain.append((t, v, j))
+        if j is None:
+            break
+        v = j
+        t -= 1
+    return chain
 
 
 def small_cfg(**kw) -> Config:

@@ -10,12 +10,30 @@ from fastcolor.graph import Graph, GraphSource, gen_er, gen_ws, load_graph, load
 from conftest import complete_graph, path_graph
 
 
+def validate(g: Graph) -> None:
+    """Raise ParameterError if any structural invariant of ``g`` is violated."""
+    if g.offsets.shape != (g.n + 1,) or g.offsets[0] != 0:
+        raise ParameterError("bad offsets")
+    if int(g.offsets[-1]) != g.neighbors.shape[0]:
+        raise ParameterError("offsets do not cover neighbor array")
+    for v in range(g.n):
+        row = g.neighbors_of(v)
+        if row.size and (np.any(np.diff(row) <= 0) or row.min() < 0 or row.max() >= g.n):
+            raise ParameterError(f"row {v} unsorted, duplicated, or out of range")
+        if np.any(row == v):
+            raise ParameterError(f"self loop at {v}")
+    for v in range(g.n):
+        for u in g.neighbors_of(v):
+            if not g.has_edge(int(u), v):
+                raise ParameterError(f"edge {v}->{u} missing its reverse")
+
+
 class TestGraphStructure:
     def test_from_edges_dedupes_and_symmetrizes(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
         assert g.edge_count == 2
         assert g.neighbors_of(1).tolist() == [0, 2]
-        g.validate()
+        validate(g)
 
     def test_rows_sorted_and_views(self):
         g = Graph.from_edges(4, [(2, 0), (3, 0), (1, 0)])
@@ -38,7 +56,7 @@ class TestGraphStructure:
     def test_empty_graph(self):
         g = Graph.from_edges(0, [])
         assert g.n == 0 and g.edge_count == 0 and g.max_degree == 0
-        g.validate()
+        validate(g)
 
     def test_key_is_content_hash(self):
         a = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -50,7 +68,7 @@ class TestGraphStructure:
     @settings(max_examples=40, deadline=None)
     def test_er_invariants(self, n, p, seed):
         g = gen_er(n, p, seed)
-        g.validate()
+        validate(g)
         assert g.n == n
         assert g.adjacency() == [g.neighbors_of(v).tolist() for v in range(n)]
         assert g.adjacency() is g.adjacency()
@@ -83,7 +101,7 @@ class TestGenerators:
     def test_ws_full_rewire_stays_simple(self):
         g = gen_ws(6, 2, 1.0, seed=9)
         assert g.edge_count == 6
-        g.validate()
+        validate(g)
 
     def test_ws_zero_beta_is_ring_lattice(self):
         g = gen_ws(8, 2, 0.0, seed=1)

@@ -198,12 +198,13 @@ class TestEvaluate:
 
 
 def assert_tables_computed_once(tmp_path, monkeypatch, **kw) -> None:
-    """Run policy iteration and check that, across the candidate's and the
-    incumbent's caches, each (graph, version) table is computed once.
+    """Run policy iteration and check that each (graph, version) table is
+    computed once, and that the gate's candidate computes into the cache
+    that holds them.
 
-    Self-play scores with the incumbent while the candidate holds its
-    parameters, and a promotion hands the candidate's tables of the new
-    version (computed by the gate) to the incumbent."""
+    The candidate and the incumbent share one cache keyed by version, so
+    a promoted candidate's tables, computed by the gate, are the new
+    incumbent's."""
     misses = []  # (cache, graph key, version) per computed table
     table = EmbeddingCache.table
 
@@ -301,6 +302,60 @@ class TestPolicyIteration:
     def test_tables_computed_once_with_separate_eval_graphs(self, tmp_path, monkeypatch):
         assert_tables_computed_once(tmp_path, monkeypatch, train_iterations=4,
                                     eval_sources="er:12,0.5:seed=5..6", seed=1)
+
+    def test_rejected_candidates_keep_two_versions_cached(self, tmp_path, monkeypatch):
+        # at every training step and gate the run's one cache holds tables
+        # of the incumbent's and the candidate's versions only, also after
+        # a rejected candidate trains on past its version, and each
+        # (graph, version) table is computed once
+        buffers, misses, seen = [], [], []
+
+        class SpyBuffer(ReplayBuffer):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                buffers.append(self)
+
+        table = EmbeddingCache.table
+
+        def spy_table(self, g, store, cfg, version):
+            before = len(self)
+            out = table(self, g, store, cfg, version)
+            if len(self) > before:
+                misses.append((id(self), g.key(), version))
+            return out
+
+        def cached():
+            return {version for _, version in buffers[0].embeddings._tables}
+
+        train_step, gate = pipeline.fcn_train_step, pipeline.gate_model
+
+        def spy_step(*args):
+            seen.append(("train", cached()))
+            return train_step(*args)
+
+        def spy_gate(*args):
+            out = gate(*args)
+            seen.append(("gate", cached()))
+            return out
+
+        monkeypatch.setattr(pipeline, "ReplayBuffer", SpyBuffer)
+        monkeypatch.setattr(EmbeddingCache, "table", spy_table)
+        monkeypatch.setattr(pipeline, "fcn_train_step", spy_step)
+        monkeypatch.setattr(pipeline, "gate_model", spy_gate)
+        cfg = tiny_cfg(train_iterations=4, seed=5, lr=0.05)
+        result = policy_iteration(cfg, out_dir=str(tmp_path))
+        accepted = [acc for _, acc, _, _ in result.gate_history]
+        assert accepted == [False, True, True, False]
+        steps, incumbent, want = cfg.steps_per_iteration, 0, []
+        for it, acc in enumerate(accepted, start=1):
+            want += [("train", {incumbent, it - 1})] * steps + [("gate", {incumbent, it})]
+            incumbent = it if acc else incumbent
+        assert len(seen) == len(want)
+        for (phase, versions), (want_phase, live) in zip(seen, want):
+            assert phase == want_phase and versions <= live
+        computed = [(key, version) for _, key, version in misses]
+        assert len(computed) == len(set(computed))
+        assert {cache for cache, _, _ in misses} == {id(buffers[0].embeddings)}
 
     def test_deterministic_metrics(self, tmp_path):
         cfg = tiny_cfg()

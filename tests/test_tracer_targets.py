@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps fastcolor functions by name; every name it
 lists must still resolve to a callable of the package, and the layer
-calls of a training step and of a decode must go through the wrappers."""
+calls of a training step, of a decode and of a training run must go
+through the wrappers."""
 
 import importlib
 import importlib.util
@@ -9,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from fastcolor import fastcolornet
+from fastcolor import fastcolornet, pipeline
 from fastcolor.coloring import ColoringState, Outcome
 from fastcolor.config import Config
 from fastcolor.embedding import compute_embeddings
@@ -102,3 +103,22 @@ def test_tracer_sees_decode_calls():
     calls = {name: tracer.agg.stats[name][0]
              for name in ("nn.dense_forward", "selfplay.net_policy_choose")}
     assert all(calls.values()) and policy.forwards > 0, calls
+
+
+def test_tracer_sees_policy_iteration_calls(tmp_path):
+    # a renamed EmbeddingCache or Model method, or a hook that no longer
+    # fits its target's arguments, fails a traced training run
+    cfg = tiny_cfg().replace(train_sources="er:12,0.5:seed=0..1", run_ahead=5,
+                             mcts_segment=2, simulations=6, move_sample_rate=0.3,
+                             steps_per_iteration=4, batch_size=2, train_iterations=2)
+    tracing = load_tracing()
+    tracer = tracing.Tracer(float32=False)
+    patched = tracing.install(tracer)
+    try:
+        pipeline.policy_iteration(cfg, out_dir=str(tmp_path))
+    finally:
+        tracing.uninstall(patched)
+    calls = {name: tracer.agg.stats[name][0]
+             for name in ("pipeline.run_selfplay", "pipeline.gate_model",
+                          "selfplay.cache_table")}
+    assert all(calls.values()), calls
