@@ -13,9 +13,9 @@ fewer colors wins (+1), equal ties (0), more loses (-1).
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -248,7 +248,9 @@ def compute_order(g: Graph, kind: str) -> np.ndarray:
     ties by ascending id. dynamic: repeatedly take the uncolored vertex
     with the most uncolored neighbors (ties by ascending id), decrementing
     neighbors as vertices leave the pool. The dynamic order depends only
-    on adjacency, never on chosen colors, so it can be precomputed.
+    on adjacency, never on chosen colors, so it can be precomputed; a
+    bucket queue keyed by dynamic degree builds it in O((V + E) log V) time,
+    nearly linear (see ``_dynamic_order``).
     """
 
     def build() -> np.ndarray:
@@ -266,25 +268,43 @@ def _order(g: Graph, kind: str) -> np.ndarray:
         # lexsort: last key is primary, so degree descending then id.
         return np.lexsort((np.arange(g.n), -g.degrees.astype(np.int64))).astype(np.int32)
     if kind == "dynamic":
-        dyn = g.degrees.astype(np.int64).copy()
-        done = np.zeros(g.n, dtype=bool)
-        heap = [(-int(dyn[v]), v) for v in range(g.n)]
-        heapq.heapify(heap)
-        order = np.empty(g.n, dtype=np.int32)
-        for slot in range(g.n):
-            while True:
-                negd, v = heapq.heappop(heap)
-                if not done[v] and -negd == dyn[v]:
-                    break
-            order[slot] = v
-            done[v] = True
-            for u in g.neighbors_of(v):
-                u = int(u)
-                if not done[u]:
-                    dyn[u] -= 1
-                    heapq.heappush(heap, (-int(dyn[u]), u))
-        return order
+        return np.array(_dynamic_order(g.adjacency()), dtype=np.int32)
     raise ParameterError(f"unknown heuristic kind {kind!r}")
+
+
+def _dynamic_order(adjacency: list[list[int]]) -> list[int]:
+    """The dynamic order from neighbor lists, with a bucket queue keyed by
+    dynamic degree (Matula & Beck, JACM 1983).
+
+    ``buckets[d]`` is a lazy min-heap of the vertices that had dynamic
+    degree d when pushed, so each bucket hands out its lowest id first.
+    A vertex is pushed again, one bucket down, each time a neighbor
+    leaves; entries whose degree has since dropped are skipped when
+    popped. Degrees only fall, so the top bucket only moves down, and
+    the whole run costs O((V + E) log V).
+    """
+    dyn = [len(row) for row in adjacency]
+    buckets: list[list[int]] = [[] for _ in range(max(dyn, default=0) + 1)]
+    for v, d in enumerate(dyn):
+        buckets[d].append(v)  # ascending ids: already a heap
+    order = []
+    top = len(buckets) - 1
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        v = heappop(bucket)
+        if dyn[v] != top:
+            continue  # stale: v's degree fell after this push
+        order.append(v)
+        dyn[v] = -1  # left the pool: never matches a bucket again
+        for u in adjacency[v]:
+            d = dyn[u]
+            if d > 0:
+                dyn[u] = d - 1
+                heappush(buckets[d - 1], u)
+    return order
 
 
 @dataclass(frozen=True)

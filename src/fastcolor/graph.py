@@ -54,7 +54,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build a graph from an iterable of (u, v) pairs.
+        """Build a graph from an (m, 2) integer array, taken as it is, or
+        from any other iterable of (u, v) pairs.
 
         Pairs are symmetrized and deduplicated; self loops are rejected
         here (loaders drop them before calling). Vertex ids must lie in
@@ -62,7 +63,9 @@ class Graph:
         """
         if n < 0:
             raise ParameterError(f"vertex count must be >= 0, got {n}")
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ParameterError("edge endpoint out of range")
@@ -130,30 +133,47 @@ class Graph:
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor rows as Python int lists, for per-move loops that
-        would pay a NumPy scalar conversion per element (do not mutate)."""
-        return self.memo("_adjacency", lambda: [
-            self.neighbors[self.offsets[v]:self.offsets[v + 1]].tolist()
-            for v in range(self.n)])
+        would pay a NumPy scalar conversion per element (do not mutate).
+        Built once per graph by slicing one ``tolist()`` of ``neighbors``."""
+
+        def build() -> list[list[int]]:
+            flat = self.neighbors.tolist()
+            offsets = self.offsets.tolist()
+            return [flat[offsets[v]:offsets[v + 1]] for v in range(self.n)]
+
+        return self.memo("_adjacency", build)
+
+
+ER_BLOCK_PAIRS = 1 << 20
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic per seed.
 
     Each of the n*(n-1)/2 pairs is included independently with
-    probability p, drawn row by row in ascending (i, j) order.
+    probability p, one uniform draw per pair in ascending (i, j) order.
+    The draws for a block of consecutive rows, about ``ER_BLOCK_PAIRS``
+    pairs (at least one row), come from one ``rng.random`` call: the
+    generator yields the same stream whether it is read in one call or
+    row by row, so the block size never changes the graph.
     """
     if n < 0:
         raise ParameterError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"p must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    rows = []
-    for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        js = np.nonzero(draws < p)[0] + i + 1
-        if js.size:
-            rows.append(np.stack([np.full(js.size, i, dtype=np.int64), js], axis=1))
-    edges = np.concatenate(rows, axis=0) if rows else np.empty((0, 2), dtype=np.int64)
+    # starts[i] is where row i's pairs (i, i+1..n-1) begin in the stream
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))))
+    blocks = []
+    lo = 0
+    while lo < n - 1:
+        hi = max(int(np.searchsorted(starts, starts[lo] + ER_BLOCK_PAIRS, side="right")) - 1,
+                 lo + 1)
+        hit = np.flatnonzero(rng.random(int(starts[hi] - starts[lo])) < p) + starts[lo]
+        rows = np.searchsorted(starts, hit, side="right") - 1
+        blocks.append(np.stack([rows, hit - starts[rows] + rows + 1], axis=1))
+        lo = hi
+    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     return Graph.from_edges(n, edges)
 
 

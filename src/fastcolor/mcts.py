@@ -77,6 +77,8 @@ class Node:
     @staticmethod
     def expanded(actions: list[int], prior: np.ndarray) -> "Node":
         prior = np.asarray(prior, dtype=np.float64).tolist()
+        if len(prior) != len(actions):
+            raise ContractError(f"{len(prior)} priors for {len(actions)} actions")
         return Node(array("d", prior + [0.0] * (2 * len(actions)) + actions))
 
     @staticmethod
@@ -263,8 +265,11 @@ class SearchTree:
         state behind the edge, when it needs an evaluation, and None at a
         window-end state, whose value is exact. ``expand`` completes the
         pass either way and takes the path back, so nothing may step the
-        state in between.
+        state in between; a second ``descend`` before it raises
+        ContractError.
         """
+        if self._pending is not None:
+            raise ContractError("descend called again before expand")
         node = self.root
         state = self.state
         c = self.c
@@ -288,7 +293,10 @@ class SearchTree:
     def expand(self, evaluation: tuple | None = None) -> float:
         """Finish the pass ``descend`` began: undo its path, attach the
         leaf from ``evaluation`` (actions, priors, value) when it returned
-        a state, then back the value up the path; returns the value."""
+        a state, then back the value up the path; returns the value.
+        Raises ContractError when no ``descend`` is pending."""
+        if self._pending is None:
+            raise ContractError("expand called with no pending descend")
         path, v = self._pending
         self._pending = None
         for _ in path:

@@ -1,5 +1,6 @@
 """Coloring decision process, greedy heuristics, and exact oracles."""
 
+import heapq
 import math
 
 import numpy as np
@@ -219,6 +220,62 @@ class TestOrders:
         assert compute_order(petersen_graph(), "dynamic") is not compute_order(petersen, "dynamic")
         with pytest.raises(ParameterError):
             compute_order(petersen, "sideways")
+
+
+def heap_dynamic_order(g: Graph) -> np.ndarray:
+    """The dynamic order by one lazy max-heap over (dynamic degree, id)
+    with NumPy state: the reference the bucket queue replaces."""
+    dyn = g.degrees.astype(np.int64).copy()
+    done = np.zeros(g.n, dtype=bool)
+    heap = [(-int(dyn[v]), v) for v in range(g.n)]
+    heapq.heapify(heap)
+    order = np.empty(g.n, dtype=np.int32)
+    for slot in range(g.n):
+        while True:
+            negd, v = heapq.heappop(heap)
+            if not done[v] and -negd == dyn[v]:
+                break
+        order[slot] = v
+        done[v] = True
+        for u in g.neighbors_of(v):
+            u = int(u)
+            if not done[u]:
+                dyn[u] -= 1
+                heapq.heappush(heap, (-int(dyn[u]), u))
+    return order
+
+
+DENSITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def generated_graphs(draw) -> Graph:
+    """A gen_er or gen_ws graph of random size, density and seed; er
+    covers the empty graph, edgeless and complete graphs, and (at low p)
+    isolated vertices."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return gen_er(draw(st.integers(0, 120)), draw(DENSITIES), seed)
+    n = draw(st.integers(3, 300))
+    k = 2 * draw(st.integers(0, min(n - 1, 16) // 2))
+    return gen_ws(n, k, draw(DENSITIES), seed)
+
+
+class TestDynamicOrderMatchesHeap:
+    @given(generated_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_bucket_queue_equals_heap(self, g):
+        order = compute_order(g, "dynamic")
+        assert order.dtype == np.int32
+        assert np.array_equal(order, heap_dynamic_order(g))
+
+    @pytest.mark.parametrize("g", [Graph.from_edges(0, []), Graph.from_edges(6, []),
+                                   complete_graph(7), star_graph(5), petersen_graph(),
+                                   Graph.from_edges(6, [(1, 4), (4, 5)])],
+                             ids=["empty", "edgeless", "complete", "star", "petersen",
+                                  "isolated"])
+    def test_named_graphs(self, g):
+        assert compute_order(g, "dynamic").tolist() == heap_dynamic_order(g).tolist()
 
 
 class TestStateLists:

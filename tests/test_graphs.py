@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fastcolor import graph as graph_module
 from fastcolor.errors import ParameterError, ParseError
 from fastcolor.graph import Graph, GraphSource, gen_er, gen_ws, load_graph, load_graph_with_report, save_edge_list
+from fastcolor.rng import make_rng
 
 from conftest import complete_graph, path_graph
 
@@ -115,6 +117,85 @@ class TestGenerators:
     def test_er_rejects_bad_p(self):
         with pytest.raises(ParameterError):
             gen_er(5, 1.5, seed=0)
+
+
+def row_by_row_er(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one ``rng.random`` call per row: the reference for
+    gen_er's block draws."""
+    rng = make_rng(seed)
+    rows = []
+    for i in range(n - 1):
+        draws = rng.random(n - 1 - i)
+        js = np.nonzero(draws < p)[0] + i + 1
+        if js.size:
+            rows.append(np.stack([np.full(js.size, i, dtype=np.int64), js], axis=1))
+    edges = np.concatenate(rows, axis=0) if rows else np.empty((0, 2), dtype=np.int64)
+    return Graph.from_edges(n, edges)
+
+
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    assert got.n == want.n
+    for name in ("offsets", "neighbors", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestErBlocks:
+    @given(st.integers(0, 90), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.integers(0, 10**6), st.sampled_from([None, 1, 2, 5, 64, 500]))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_row_by_row(self, n, p, seed, block):
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:  # small blocks: many per graph
+                mp.setattr(graph_module, "ER_BLOCK_PAIRS", block)
+            got = gen_er(n, p, seed)
+        assert_same_graph(got, row_by_row_er(n, p, seed))
+
+    @pytest.mark.parametrize("n,p", [(0, 0.5), (1, 0.5), (2, 0.0), (2, 1.0), (9, 1.0)])
+    def test_edge_sizes(self, n, p):
+        assert_same_graph(gen_er(n, p, seed=3), row_by_row_er(n, p, seed=3))
+
+    def test_default_blocks_split_a_large_graph(self):
+        n = 1500  # 1,124,250 pairs: two blocks
+        assert n * (n - 1) // 2 > graph_module.ER_BLOCK_PAIRS
+        assert_same_graph(gen_er(n, 0.002, seed=5), row_by_row_er(n, 0.002, seed=5))
+
+    def test_from_edges_takes_arrays_and_iterables(self):
+        pairs = np.array([[2, 0], [1, 2], [0, 2]])
+        want = Graph.from_edges(3, [(2, 0), (1, 2)])
+        assert Graph.from_edges(3, pairs).key() == want.key()
+        assert Graph.from_edges(3, iter([(2, 0), (1, 2)])).key() == want.key()
+        assert Graph.from_edges(3, np.empty((0, 2), dtype=np.int32)).edge_count == 0
+
+
+class TestPinnedGenerators:
+    """Content hashes of generated graphs, so that any change in how a
+    generator reads its random stream fails here."""
+
+    QUICKSTART = [
+        "2dfdd5a6e2a977fe3afcab7720971847c002bbac16f5d14d3b9e82304e8840ac",
+        "b07f3751aaf25729c6b0638e850e9fa2b2475e2c76520f0d67aafa436b2c006d",
+        "f6ff979b214133485237b7974924a393cc1a4bf2e628258ed6b8496ae2197747",
+        "5502b742b36ef49c75f4924bb455c28efc74a98dd4c10eec2d5ec3c8b22d17ba",
+        "092499a8397f147f7445026abf2728c55b9a424d408366afbcac6e389ebc8d5b",
+        "e36b3c2dee83c9e72fdcdf02d09ad84e42aebc1d17cae195b6abec112aa08c7f",
+        "e935a9b9706819d7746395c42e275d17774c0642970475dc71858668f4aa5815",
+        "2e0928bc63e1e071a43e56d80cf60d28231430815911374ce7114ac590e58c89",
+        "e5838e843ee9207cad1d14e3182e9fa50c395d20b1483a3e9daaffd7aded26ef",
+        "a280f2f3fc282e17f042f9804a67e2734979256b84b4e9914c7fdde31fbfc66c",
+    ]
+
+    def test_readme_quickstart_graphs(self):
+        assert [GraphSource.parse(f"er:32,0.5:seed={s}").build().key()
+                for s in range(10)] == self.QUICKSTART
+
+    @pytest.mark.parametrize("text,key", [
+        ("ws:2048,4,0.5:seed=1", "009ec28dbb1ed31a5442c80bce2846852e7173708bec79647a1a3ec7ce1c2458"),
+        ("er:40,0.3:seed=0", "8b1551140491442ffbc7a481e847c2f54290ebbcb0208345a574a93051cfa3ac"),
+        ("ws:64,4,0.3:seed=0", "ae672a1c4cbb4e9a5a10ede77ae64f40c68464ef28e2bbcf702ea0a4d7c6588f"),
+    ])
+    def test_benchmark_graphs(self, text, key):
+        assert GraphSource.parse(text).build().key() == key
 
 
 class TestLoaders:

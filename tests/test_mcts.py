@@ -181,6 +181,11 @@ class TestArrayNode:
         assert node.stats.tolist() == [0.5, 0.5, 0.0, 3.0, 0.0, -0.5, 2.0, 5.0]
         assert node.actions == [2, 5] and Node.terminal(1.0).actions == []
 
+    @pytest.mark.parametrize("prior", [[1.0], [0.25, 0.25, 0.5], []])
+    def test_prior_length_must_match_actions(self, prior):
+        with pytest.raises(ContractError, match="priors for 2 actions"):
+            Node.expanded([0, 1], np.array(prior))
+
     def test_three_action_node_fits_288_bytes(self):
         prior = np.full(3, 1.0 / 3.0)
         nodes = []
@@ -414,6 +419,30 @@ class TestSharedRootState:
                 tree.expand(evaluation)
                 assert_same_state(tree.state, before)
             tree.advance_root(tree.root.actions[int(np.argmax(tree.root.visits))])
+
+    def test_second_descend_before_expand_raises(self):
+        g = gen_er(12, 0.5, seed=6)
+        tree = make_tree(g)
+        search(tree, 8)
+        root = tree.state.clone()
+        leaf = tree.descend()
+        assert leaf is not None
+        pending = leaf.clone()
+        with pytest.raises(ContractError, match="before expand"):
+            tree.descend()
+        assert_same_state(tree.state, pending)
+        tree.expand(tree.evaluator.evaluate(leaf))
+        assert_same_state(tree.state, root)
+
+    def test_expand_without_descend_raises(self):
+        g = gen_er(12, 0.5, seed=6)
+        tree = make_tree(g)
+        with pytest.raises(ContractError, match="no pending descend"):
+            tree.expand()
+        tree.simulate()
+        with pytest.raises(ContractError, match="no pending descend"):
+            tree.expand((tree.root.actions, np.ones(len(tree.root.actions)), 0.0))
+        assert tree.state.t == 0
 
     def test_search_never_clones(self, monkeypatch):
         def refuse(self):
