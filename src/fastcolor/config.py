@@ -143,6 +143,10 @@ class Config:
             v = getattr(self, f.name)
             if isinstance(v, bool):
                 v = "true" if v else "false"
+            elif isinstance(v, str) and ("#" in v or "".join(v.splitlines()) != v):
+                # from_text would cut the value at the '#' or the line break
+                raise ParameterError(f"config field {f.name!r}: value {v!r} holds '#' or a "
+                                     "line break, which the file form cannot hold")
             lines.append(f"{f.name} = {v}")
         return "\n".join(lines) + "\n"
 
@@ -154,6 +158,7 @@ class Config:
     def from_text(text: str) -> "Config":
         fields = {f.name: f for f in dataclasses.fields(Config)}
         seen: dict[str, object] = {}
+        key_lines: dict[str, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -163,6 +168,10 @@ class Config:
             key, val = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise ParameterError(f"config line {lineno}: unknown key {key!r}")
+            if key in key_lines:
+                raise ParameterError(
+                    f"config line {lineno}: key {key!r} repeats line {key_lines[key]}")
+            key_lines[key] = lineno
             ftype = fields[key].type
             try:
                 if ftype == "bool":

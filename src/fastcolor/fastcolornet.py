@@ -40,8 +40,6 @@ from .nn import (
     batchnorm_forward,
     conv1d_backward,
     conv1d_forward,
-    conv1d_ragged_backward,
-    conv1d_ragged_forward,
     dense_backward,
     dense_forward,
     init_batchnorm,
@@ -329,7 +327,7 @@ def p_forward(store: ParamStore, cfg, moves: list[MoveInput], training: bool,
     # one zero-padded sequence per move, so conv taps never cross moves
     taps = ragged_taps(sizes, cfg.seq_filter)
     feats, seq_cache = _stack_forward(store, "p.seq", "k", feats, cfg.seq_layers, training,
-                                      lambda x, k, b: conv1d_ragged_forward(x, k, b, taps))
+                                      lambda x, k, b: conv1d_forward(x, k, b, taps=taps))
     scores, head_cache = dense_forward(feats, store["p.head.w"], store["p.head.b"])
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     logits_list = np.split(scores[:, 0], starts[1:])
@@ -345,8 +343,7 @@ def p_backward(store: ParamStore, dlogits_list, cache, grads: dict):
     dfeats, dw, db = dense_backward(dscores, head_cache)
     _acc(grads, "p.head.w", dw)
     _acc(grads, "p.head.b", db)
-    dfeats = _stack_backward(store, "p.seq", "k", dfeats, seq_cache, grads,
-                             conv1d_ragged_backward)
+    dfeats = _stack_backward(store, "p.seq", "k", dfeats, seq_cache, grads, conv1d_backward)
     dx = _stack_backward(store, "p.fc", "w", dfeats, fc_cache, grads, dense_backward)
     # every candidate row of a move saw the same pooled problem context
     dim = pc_shape[2]
@@ -487,7 +484,7 @@ def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
     ones, ``gc`` and the pooled ``pc``, are multiplied once per move, and
     the member-slot ones once per row of ``slots``, in one product over
     the whole batch. p.seq convolves each move's rows as one sequence
-    (``conv1d_ragged_forward``), as p_forward does; with the batchnorms
+    (``conv1d_forward`` with taps), as p_forward does; with the batchnorms
     folded its logits match p_forward's in all but the last bits. All
     moves go through one stack, so a move's logits may differ from a call
     with that move alone in the last bits.
@@ -507,7 +504,7 @@ def _policy_scores(net: InferenceNet, gc: np.ndarray, pooled_pc: np.ndarray,
     feats = _folded_stack(_folded_block(y, layer, skip), net.p_fc[1:], dense_forward)
     taps = ragged_taps(sizes, net.p_seq[0].w.shape[0])
     feats = _folded_stack(feats, net.p_seq,
-                          lambda x, k, b: conv1d_ragged_forward(x, k, b, taps))
+                          lambda x, k, b: conv1d_forward(x, k, b, taps=taps))
     scores, _ = dense_forward(feats, *net.p_head)
     return scores[:, 0].astype(np.float64)
 

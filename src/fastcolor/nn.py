@@ -36,8 +36,6 @@ __all__ = [
     "conv1d_forward",
     "conv1d_backward",
     "ragged_taps",
-    "conv1d_ragged_forward",
-    "conv1d_ragged_backward",
     "batchnorm_forward",
     "batchnorm_backward",
     "softmax",
@@ -229,48 +227,6 @@ def lstm_cell_backward(dh: np.ndarray, dc_new: np.ndarray, cache):
     return dx, dc, dw, db
 
 
-def _im2col(x: np.ndarray, filter_size: int) -> np.ndarray:
-    # x (B, S, C) -> (B, S, filter_size*C) with zero 'same' padding.
-    b, s, c = x.shape
-    pad = filter_size // 2
-    xp = np.zeros((b, s + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad : pad + s, :] = x
-    cols = np.empty((b, s, filter_size * c), dtype=x.dtype)
-    for tap in range(filter_size):
-        cols[:, :, tap * c : (tap + 1) * c] = xp[:, tap : tap + s, :]
-    return cols
-
-
-def conv1d_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray):
-    """'Same'-padded 1-d convolution. x (B, S, C_in), kernel
-    (filter, C_in, C_out), output (B, S, C_out). Odd filter sizes only."""
-    filter_size, c_in, c_out = kernel.shape
-    if filter_size % 2 == 0:
-        raise ParameterError("filter size must be odd for same padding")
-    if x.shape[-1] != c_in:
-        raise ParameterError(f"input has {x.shape[-1]} channels, kernel wants {c_in}")
-    cols = _im2col(x, filter_size)
-    w2 = kernel.reshape(filter_size * c_in, c_out)
-    y = cols @ w2 + b
-    return y, (cols, kernel, x.shape)
-
-
-def conv1d_backward(dy: np.ndarray, cache):
-    cols, kernel, x_shape = cache
-    filter_size, c_in, c_out = kernel.shape
-    b, s, _ = x_shape
-    w2 = kernel.reshape(filter_size * c_in, c_out)
-    dcols = dy @ w2.T
-    dw2 = cols.reshape(-1, filter_size * c_in).T @ dy.reshape(-1, c_out)
-    db = dy.reshape(-1, c_out).sum(axis=0)
-    pad = filter_size // 2
-    dxp = np.zeros((b, s + 2 * pad, c_in), dtype=dy.dtype)
-    for tap in range(filter_size):
-        dxp[:, tap : tap + s, :] += dcols[:, :, tap * c_in : (tap + 1) * c_in]
-    dx = dxp[:, pad : pad + s, :]
-    return dx, dw2.reshape(filter_size, c_in, c_out), db
-
-
 def ragged_taps(sizes: list[int], filter_size: int):
     """(tap, dst, src) for each off-centre kernel tap of a 'same'
     convolution over concatenated sequences of ``sizes`` rows: the output
@@ -279,7 +235,7 @@ def ragged_taps(sizes: list[int], filter_size: int):
     pad = filter_size // 2
     starts = list(accumulate(sizes, initial=0))
     taps = []
-    for off in range(1, min(pad, max(sizes) - 1) + 1):
+    for off in range(1, min(pad, max(sizes, default=0) - 1) + 1):
         # the rows with a row `off` later in their sequence; a plain loop
         # beats NumPy's per-call cost at a few dozen rows
         lo = np.array([s + i for s, k in zip(starts, sizes) for i in range(k - off)])
@@ -287,33 +243,40 @@ def ragged_taps(sizes: list[int], filter_size: int):
     return taps
 
 
-def conv1d_ragged_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray, taps):
-    """``conv1d_forward`` over concatenated sequences x (N, C_in), each
-    with its own zero padding, with ``taps`` from ``ragged_taps``: only
-    the row pairs inside a sequence are multiplied; y is (N, C_out)."""
-    filter_size, c_in, _ = kernel.shape
+def conv1d_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray, taps=None):
+    """'Same'-padded 1-d convolution, kernel (filter, C_in, C_out), odd
+    filter sizes only; each sequence has its own zero padding. x is
+    (B, S, C_in), B sequences of S rows, or, with ``taps`` from
+    ``ragged_taps``, concatenated sequences (N, C_in). Only the row pairs
+    inside a sequence are multiplied; y keeps x's leading shape."""
+    filter_size, c_in, c_out = kernel.shape
     if filter_size % 2 == 0:
         raise ParameterError("filter size must be odd for same padding")
     if x.shape[-1] != c_in:
         raise ParameterError(f"input has {x.shape[-1]} channels, kernel wants {c_in}")
-    y = x @ kernel[filter_size // 2] + b
+    if taps is None:
+        batch, s, _ = x.shape
+        taps = ragged_taps([s] * batch, filter_size)
+    rows = x.reshape(-1, c_in)
+    y = rows @ kernel[filter_size // 2] + b
     for tap, dst, src in taps:
-        y[dst] += x[src] @ kernel[tap]
-    return y, (x, kernel, taps)
+        y[dst] += rows[src] @ kernel[tap]
+    return y.reshape(*x.shape[:-1], c_out), (x, kernel, taps)
 
 
-def conv1d_ragged_backward(dy: np.ndarray, cache):
-    """The transposed taps of ``conv1d_ragged_forward``. Within one tap
-    the src rows are distinct, so a fancy-index ``+=`` adds each once."""
+def conv1d_backward(dy: np.ndarray, cache):
+    """The transposed taps of ``conv1d_forward``. Within one tap the src
+    rows are distinct, so a fancy-index ``+=`` adds each once."""
     x, kernel, taps = cache
     centre = kernel.shape[0] // 2
-    dx = dy @ kernel[centre].T
+    rows, dy_rows = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    dx = dy_rows @ kernel[centre].T
     dk = np.zeros(kernel.shape, dtype=np.result_type(x, dy))
-    dk[centre] = x.T @ dy
+    dk[centre] = rows.T @ dy_rows
     for tap, dst, src in taps:
-        dx[src] += dy[dst] @ kernel[tap].T
-        dk[tap] = x[src].T @ dy[dst]
-    return dx, dk, dy.sum(axis=0)
+        dx[src] += dy_rows[dst] @ kernel[tap].T
+        dk[tap] = rows[src].T @ dy_rows[dst]
+    return dx.reshape(x.shape), dk, dy_rows.sum(axis=0)
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,

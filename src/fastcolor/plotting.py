@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from xml.sax.saxutils import escape
 
 from .errors import ParameterError, ParseError
 
@@ -33,7 +34,8 @@ def read_csv_columns(path: str) -> dict[str, list[str]]:
 
 
 def numeric_column(columns: dict[str, list[str]], name: str) -> list[float]:
-    """Parse one column as floats, skipping empty cells, keeping order."""
+    """Parse one column as floats, empty cells as NaN, keeping order;
+    a cell that is not a finite number is an error."""
     if name not in columns:
         raise ParameterError(f"no column {name!r}; have {sorted(columns)}")
     out = []
@@ -42,9 +44,12 @@ def numeric_column(columns: dict[str, list[str]], name: str) -> list[float]:
             out.append(math.nan)
             continue
         try:
-            out.append(float(cell))
+            value = float(cell)
         except ValueError:
             raise ParseError(f"column {name!r} row {i + 2}: not a number: {cell!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"column {name!r} row {i + 2}: not finite: {cell!r}")
+        out.append(value)
     return out
 
 
@@ -63,7 +68,8 @@ def _fmt(x: float) -> str:
 def line_chart(series: list[tuple[str, list[float], list[float]]],
                title: str = "", xlabel: str = "", ylabel: str = "",
                width: int = 640, height: int = 400) -> str:
-    """Render (label, xs, ys) series as one SVG line chart."""
+    """Render (label, xs, ys) series as one SVG line chart; the title,
+    axis labels and series labels are escaped as XML text."""
     if not series:
         raise ParameterError("nothing to plot")
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
@@ -93,7 +99,7 @@ def line_chart(series: list[tuple[str, list[float], list[float]]],
     ]
     if title:
         out.append(f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
+                   f'font-size="14">{escape(title)}</text>')
     for tx in _ticks(xmin, xmax):
         x = px(tx)
         out.append(f'<line x1="{x:.1f}" y1="{top}" x2="{x:.1f}" '
@@ -109,10 +115,11 @@ def line_chart(series: list[tuple[str, list[float], list[float]]],
                f'height="{height - top - bottom}" fill="none" stroke="#333"/>')
     if xlabel:
         out.append(f'<text x="{(left + width - right) / 2:.1f}" y="{height - 8}" '
-                   f'text-anchor="middle">{xlabel}</text>')
+                   f'text-anchor="middle">{escape(xlabel)}</text>')
     if ylabel:
         out.append(f'<text x="14" y="{(top + height - bottom) / 2:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">{ylabel}</text>')
+                   f'transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">'
+                   f'{escape(ylabel)}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         coords = " ".join(
@@ -126,7 +133,7 @@ def line_chart(series: list[tuple[str, list[float], list[float]]],
         lx = width - right - 130
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{lx + 24}" y="{ly}">{label}</text>')
+        out.append(f'<text x="{lx + 24}" y="{ly}">{escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

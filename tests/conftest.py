@@ -60,6 +60,38 @@ def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) ->
     return vec
 
 
+def reference_conv1d_forward(x: np.ndarray, kernel: np.ndarray, b: np.ndarray):
+    """Reference 'same'-padded 1-d convolution by im2col: x (B, S, C_in)
+    is zero padded, its filter-wide windows copied into columns
+    (B, S, filter * C_in), and the columns multiplied by the flattened
+    kernel in one product. Returns ``(y, cache)``."""
+    filter_size, c_in, c_out = kernel.shape
+    batch, s, _ = x.shape
+    pad = filter_size // 2
+    xp = np.zeros((batch, s + 2 * pad, c_in), dtype=x.dtype)
+    xp[:, pad : pad + s, :] = x
+    cols = np.empty((batch, s, filter_size * c_in), dtype=x.dtype)
+    for tap in range(filter_size):
+        cols[:, :, tap * c_in : (tap + 1) * c_in] = xp[:, tap : tap + s, :]
+    y = cols @ kernel.reshape(filter_size * c_in, c_out) + b
+    return y, (cols, kernel, x.shape)
+
+
+def reference_conv1d_backward(dy: np.ndarray, cache):
+    """``(dx, dk, db)`` of ``reference_conv1d_forward``: the column
+    gradient scattered back onto the padded input, tap by tap."""
+    cols, kernel, (batch, s, _) = cache
+    filter_size, c_in, c_out = kernel.shape
+    w2 = kernel.reshape(filter_size * c_in, c_out)
+    dcols = dy @ w2.T
+    dw2 = cols.reshape(-1, filter_size * c_in).T @ dy.reshape(-1, c_out)
+    pad = filter_size // 2
+    dxp = np.zeros((batch, s + 2 * pad, c_in), dtype=dy.dtype)
+    for tap in range(filter_size):
+        dxp[:, tap : tap + s, :] += dcols[:, :, tap * c_in : (tap + 1) * c_in]
+    return dxp[:, pad : pad + s, :], dw2.reshape(kernel.shape), dy.reshape(-1, c_out).sum(axis=0)
+
+
 def randomize_inference_params(store: ParamStore, rng) -> None:
     """Batchnorm statistics away from the identity and non-zero heads."""
     for name in store.names():

@@ -4,6 +4,7 @@ import ctypes
 import json
 import os
 import re
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ class TestPlot:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert "eval_avg_colors" in svg
+
+    def test_markup_in_names_is_escaped(self, tmp_path):
+        csv_path = tmp_path / "r&d.csv"
+        csv_path.write_text("x,a<b\n1,2\n2,3\n")
+        svg_path = tmp_path / "x.svg"
+        assert main(["plot", "--csv", str(csv_path), "--x", "x", "--y", "a<b",
+                     "--out", str(svg_path)]) == 0
+        doc = xml.dom.minidom.parse(str(svg_path))
+        texts = {t.firstChild.data for t in doc.getElementsByTagName("text")}
+        assert {str(csv_path), "x", "a<b"} <= texts
+
+    def test_non_finite_cell_fails(self, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text("x,y\n1,2\n2,inf\n")
+        assert main(["plot", "--csv", str(csv_path), "--x", "x", "--y", "y",
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "column 'y' row 3" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_missing_column_fails(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"

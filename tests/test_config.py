@@ -45,6 +45,18 @@ def test_bad_value_rejected():
         Config.from_text("embed_dim = banana\n")
 
 
+def test_repeated_key_rejected():
+    with pytest.raises(ParameterError, match="line 3: key 'seed' repeats line 1"):
+        Config.from_text("seed = 1\n# again\nseed = 2\n")
+
+
+@pytest.mark.parametrize("out_dir", ["a#b", "a\nseed = 2", "a\r", "a\u2028b"])
+def test_unsavable_string_rejected(out_dir):
+    # from_text would cut each of these at the '#' or the line break
+    with pytest.raises(ParameterError, match="'out_dir'"):
+        Config(out_dir=out_dir).to_text()
+
+
 def test_bad_version_rejected():
     with pytest.raises(ParameterError, match="version"):
         Config.from_text("config_version = 999\n")

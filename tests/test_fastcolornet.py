@@ -54,6 +54,7 @@ from conftest import (
     path_graph,
     random_move,
     randomize_inference_params,
+    reference_conv1d_forward,
     stack_contexts,
 )
 
@@ -1061,7 +1062,7 @@ def per_sequence_conv_stack(store, prefix, seqs, layers, training):
     batchnorm statistics joint over all rows."""
     for i in range(layers):
         name = f"{prefix}.{i}"
-        ys = [nn.conv1d_forward(x[None], store[f"{name}.k"], store[f"{name}.b"])[0][0]
+        ys = [reference_conv1d_forward(x[None], store[f"{name}.k"], store[f"{name}.b"])[0][0]
               for x in seqs]
         flat, _ = nn.batchnorm_forward(
             np.concatenate(ys), store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
@@ -1084,7 +1085,7 @@ class TestStacks:
         x = make_rng(seed + 1).normal(size=(sum(lengths), cfg.p_width))
         taps = nn.ragged_taps(lengths, cfg.seq_filter)
         got, _ = _stack_forward(store, "p.seq", "k", x, cfg.seq_layers, training,
-                                lambda x, k, b: nn.conv1d_ragged_forward(x, k, b, taps))
+                                lambda x, k, b: nn.conv1d_forward(x, k, b, taps=taps))
         want = per_sequence_conv_stack(ref_store, "p.seq", np.split(x, np.cumsum(lengths)[:-1]),
                                        cfg.seq_layers, training)
         assert got.shape == want.shape
@@ -1106,11 +1107,12 @@ class TestStacks:
         x = make_rng(seed + 1).normal(size=(sum(lengths), width)).astype(dtype)
         taps = nn.ragged_taps(lengths, filter_size)
         got = fastcolornet._folded_stack(
-            x.copy(), layers, lambda x, k, b: nn.conv1d_ragged_forward(x, k, b, taps))
+            x.copy(), layers, lambda x, k, b: nn.conv1d_forward(x, k, b, taps=taps))
         want = []
         for seq in np.split(x.astype(np.float64), np.cumsum(lengths)[:-1]):
             for layer in layers:  # float64 reference, zero 'same' padding per sequence
-                y = nn.conv1d_forward(seq[None], layer.w.astype(np.float64), layer.b)[0][0]
+                y = reference_conv1d_forward(seq[None], layer.w.astype(np.float64),
+                                             layer.b)[0][0]
                 y = np.maximum(y * layer.scale + layer.shift, 0.0)
                 seq = seq + y if seq.shape == y.shape else y
             want.append(seq)
@@ -1121,16 +1123,16 @@ class TestStacks:
 
 
 def spy_layer_inputs(monkeypatch) -> list[np.dtype]:
-    """Record the dtype of every array passed to a dense or conv1d forward
-    (the ragged one's tap index excluded), wherever a fastcolor module
-    looks the function up."""
+    """Record the dtype of every array passed to a dense or conv1d forward,
+    positionally or by keyword (conv1d's tap index excluded), wherever a
+    fastcolor module looks the function up."""
     seen: list[np.dtype] = []
     modules = [importlib.import_module(f"fastcolor.{m.name}")
                for m in pkgutil.iter_modules(fastcolor.__path__)]
-    for original in (nn.dense_forward, nn.conv1d_forward, nn.conv1d_ragged_forward):
-        def spy(*args, _fn=original):
-            seen.extend(a.dtype for a in args if isinstance(a, np.ndarray))
-            return _fn(*args)
+    for original in (nn.dense_forward, nn.conv1d_forward):
+        def spy(*args, _fn=original, **kwargs):
+            seen.extend(a.dtype for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray))
+            return _fn(*args, **kwargs)
         for mod in modules:
             for key, value in list(vars(mod).items()):
                 if value is original:

@@ -17,8 +17,6 @@ from fastcolor.nn import (
     batchnorm_forward,
     conv1d_backward,
     conv1d_forward,
-    conv1d_ragged_backward,
-    conv1d_ragged_forward,
     dense_backward,
     dense_forward,
     finite_diff_check,
@@ -33,6 +31,8 @@ from fastcolor.nn import (
     relu_forward,
     softmax,
 )
+
+from conftest import reference_conv1d_backward, reference_conv1d_forward
 
 RNG = np.random.default_rng(20240817)
 TOL = 1e-4
@@ -264,11 +264,11 @@ class TestBackwardVsFiniteDifferences:
         proj = rng.normal(size=(14, 2))
 
         def loss():
-            y, _ = conv1d_ragged_forward(x, store["c.k"], store["c.b"], taps)
+            y, _ = conv1d_forward(x, store["c.k"], store["c.b"], taps=taps)
             return float((y * proj).sum())
 
-        _, cache = conv1d_ragged_forward(x, store["c.k"], store["c.b"], taps)
-        dx, dk, db = conv1d_ragged_backward(proj, cache)
+        _, cache = conv1d_forward(x, store["c.k"], store["c.b"], taps=taps)
+        dx, dk, db = conv1d_backward(proj, cache)
         self._check(store, loss, {"c.k": dk, "c.b": db}, samples=10)
 
         store_x = f64_store()
@@ -276,7 +276,7 @@ class TestBackwardVsFiniteDifferences:
         k_fixed, b_fixed = store["c.k"], store["c.b"]
 
         def loss_x():
-            y, _ = conv1d_ragged_forward(store_x["x"], k_fixed, b_fixed, taps)
+            y, _ = conv1d_forward(store_x["x"], k_fixed, b_fixed, taps=taps)
             return float((y * proj).sum())
 
         self._check(store_x, loss_x, {"x": dx}, samples=10)
@@ -330,14 +330,14 @@ class TestRaggedConv1d:
         b = rng.normal(size=c_out)
         x = rng.normal(size=(sum(lengths), c_in))
         dy = rng.normal(size=(sum(lengths), c_out))
-        y, cache = conv1d_ragged_forward(x, kernel, b, ragged_taps(lengths, filter_size))
-        dx, dk, db = conv1d_ragged_backward(dy, cache)
+        y, cache = conv1d_forward(x, kernel, b, taps=ragged_taps(lengths, filter_size))
+        dx, dk, db = conv1d_backward(dy, cache)
         bounds = np.cumsum(lengths)[:-1]
         want_y, want_dx = [], []
         want_dk, want_db = np.zeros_like(kernel), np.zeros_like(b)
         for xs, dys in zip(np.split(x, bounds), np.split(dy, bounds)):
-            ys, seq_cache = conv1d_forward(xs[None], kernel, b)
-            dxs, dks, dbs = conv1d_backward(dys[None], seq_cache)
+            ys, seq_cache = reference_conv1d_forward(xs[None], kernel, b)
+            dxs, dks, dbs = reference_conv1d_backward(dys[None], seq_cache)
             want_y.append(ys[0])
             want_dx.append(dxs[0])
             want_dk += dks
@@ -346,6 +346,29 @@ class TestRaggedConv1d:
         for got, want in ((y, np.concatenate(want_y)), (dx, np.concatenate(want_dx)),
                           (dk, want_dk), (db, want_db)):
             assert np.abs(got - want).max() <= 1e-12
+
+    @given(batch=st.integers(0, 4), length=st.integers(1, 9),
+           filter_size=st.sampled_from([1, 3, 5, 7]), c_in=st.integers(1, 5),
+           c_out=st.integers(1, 5), dtype=st.sampled_from(["float64", "float32"]),
+           seed=st.integers(0, 999))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_length_batch_matches_im2col(self, batch, length, filter_size, c_in, c_out,
+                                               dtype, seed):
+        rng = np.random.default_rng(seed)
+        kernel = rng.normal(size=(filter_size, c_in, c_out)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        x = rng.normal(size=(batch, length, c_in)).astype(dtype)
+        dy = rng.normal(size=(batch, length, c_out)).astype(dtype)
+        y, cache = conv1d_forward(x, kernel, b)
+        dx, dk, db = conv1d_backward(dy, cache)
+        want_y, ref_cache = reference_conv1d_forward(x, kernel, b)
+        want_dx, want_dk, want_db = reference_conv1d_backward(dy, ref_cache)
+        # float32 sums of up to filter * c_in or batch * length products
+        tol = 1e-12 if dtype == "float64" else 1e-5
+        for got, want in ((y, want_y), (dx, want_dx), (dk, want_dk), (db, want_db)):
+            assert got.shape == want.shape and got.dtype == np.dtype(dtype)
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= tol * scale
 
 
 class TestAdam:
