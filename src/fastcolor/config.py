@@ -134,6 +134,8 @@ class Config:
             raise ParameterError("seq_filter must be odd and >= 1")
         if self.order_kind not in HEURISTIC_KINDS:
             raise ParameterError(f"unknown order kind {self.order_kind!r}")
+        if min(self.init_seed, self.embed_seed) < 0:
+            raise ParameterError("init_seed and embed_seed must be >= 0")
 
     # -- file form ----------------------------------------------------
 

@@ -1,5 +1,4 @@
-"""Vertex embeddings from a learned LSTM transfer function, plus the
-bucketed one-hot feature encoders.
+"""Vertex embeddings from a learned LSTM transfer function.
 
 Embeddings are static per graph: each of T update iterations feeds every
 vertex a message built from its own degree bucket and previous embedding
@@ -18,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
 from .graph import Graph
 from .nn import (
     ParamStore,
@@ -32,9 +30,7 @@ from .nn import (
 from .rng import mix64
 
 __all__ = [
-    "encode_onehot",
-    "degree_onehot_matrix",
-    "sampled_neighbors_all",
+    "sampled_neighbors",
     "EmbeddingTable",
     "init_transfer_params",
     "transfer_forward",
@@ -52,56 +48,28 @@ __all__ = [
 EMBED_BLOCK = 512
 
 
-def encode_onehot(value: int, maximum: int, size: int = 32) -> int:
-    """Bucket index = min(floor(value / maximum * size), size - 1).
+def sampled_neighbors(g: Graph, t: int, seed: int, verts: np.ndarray) -> np.ndarray:
+    """Sampled neighbor of each of ``verts`` at iteration t; -1 for isolated.
 
-    ``maximum = 0`` maps everything (necessarily 0) to bucket 0. The
-    clamp handles value == maximum, where the raw formula says ``size``.
+    The draw for vertex v is ``mix64(seed, v, t)`` modulo its degree, a
+    pure function of (seed, v, t), so a walk replays the table build's
+    draws whatever rows it asks for.
     """
-    if maximum < 0:
-        raise ParameterError(f"maximum must be >= 0, got {maximum}")
-    if value < 0 or value > maximum:
-        raise ContractError(f"value {value} outside [0, {maximum}]")
-    if maximum == 0:
-        return 0
-    return min(int(value * size // maximum), size - 1)
-
-
-def degree_onehot_matrix(g: Graph, bins: int = 32, dtype=np.float32) -> np.ndarray:
-    """(V, bins) matrix of bucketed degrees; zero-degree graphs scale by 1."""
-    maximum = max(1, g.max_degree)
-    idx = np.minimum(g.degrees.astype(np.int64) * bins // maximum, bins - 1)
-    out = np.zeros((g.n, bins), dtype=dtype)
-    if g.n:
-        out[np.arange(g.n), idx] = 1.0
-    return out
-
-
-def _neighbor_picks(seeds: np.ndarray, verts: np.ndarray, t: int, degs: np.ndarray) -> np.ndarray:
-    """Position of each vertex's sampled neighbor in its adjacency row:
-    the hash of (seed, v, t) modulo the degree (0 for isolated vertices)."""
-    h = mix64(seeds, verts, np.uint64(t))
-    return (h % np.maximum(degs, 1)).astype(np.int64)
-
-
-def sampled_neighbors_all(g: Graph, t: int, seed: int) -> np.ndarray:
-    """Sampled neighbor of every vertex at iteration t; -1 for isolated.
-
-    The draw for vertex v is a pure function of (seed, v, t), so the
-    scalar and vectorized paths agree and walks can be replayed.
-    """
-    if g.n == 0:
-        return np.empty(0, dtype=np.int64)
-    idx = _neighbor_picks(np.full(g.n, seed, dtype=np.uint64), np.arange(g.n, dtype=np.uint64),
-                          t, g.degrees.astype(np.uint64))
+    degs = g.degrees[verts]
+    present = degs > 0
+    nbrs = np.full(len(verts), -1, dtype=np.int64)
     # gather only rows with neighbors; an isolated row's offset can sit
     # at the end of the adjacency array
-    present = g.degrees > 0
-    nbr = np.full(g.n, -1, dtype=np.int64)
-    if present.any():
-        pos = g.offsets[:-1][present] + idx[present]
-        nbr[present] = g.neighbors[pos].astype(np.int64)
-    return nbr
+    v = verts[present]
+    picks = mix64(seed, v, t) % degs[present].astype(np.uint64)
+    nbrs[present] = g.neighbors[g.offsets[v] + picks.astype(np.int64)]
+    return nbrs
+
+
+def _degree_buckets(g: Graph, verts: np.ndarray, bins: int) -> np.ndarray:
+    """Degree bucket of each of ``verts``: min(deg * bins // max_degree,
+    bins - 1), where an edgeless graph scales by 1."""
+    return np.minimum(g.degrees[verts].astype(np.int64) * bins // max(1, g.max_degree), bins - 1)
 
 
 @dataclass
@@ -163,37 +131,32 @@ def transfer_forward(store: ParamStore, cfg, features: np.ndarray):
 def transfer_backward(store: ParamStore, dmu: np.ndarray, cache):
     """Gradients of the transfer function; returns (d_features, grads)."""
     in_cache, step_caches, out_cache = cache
-    grads = {
-        "emb.in.w": 0.0, "emb.in.b": 0.0,
-        "emb.cell.w": 0.0, "emb.cell.b": 0.0,
-        "emb.out.w": 0.0, "emb.out.b": 0.0,
-    }
-    dx, dw, db = dense_backward(dmu, out_cache)
-    grads["emb.out.w"] = grads["emb.out.w"] + dw
-    grads["emb.out.b"] = grads["emb.out.b"] + db
+    dx, dw_out, db_out = dense_backward(dmu, out_cache)
     dc = np.zeros_like(dx)
+    dw_cell = db_cell = 0.0
     for step in reversed(step_caches):
         dx, dc, dw, db = lstm_cell_backward(dx, dc, step)
-        grads["emb.cell.w"] = grads["emb.cell.w"] + dw
-        grads["emb.cell.b"] = grads["emb.cell.b"] + db
-    dfeat, dw, db = dense_backward(dx, in_cache)
-    grads["emb.in.w"] = grads["emb.in.w"] + dw
-    grads["emb.in.b"] = grads["emb.in.b"] + db
-    return dfeat, grads
+        dw_cell, db_cell = dw_cell + dw, db_cell + db
+    dfeat, dw_in, db_in = dense_backward(dx, in_cache)
+    return dfeat, {"emb.in.w": dw_in, "emb.in.b": db_in, "emb.cell.w": dw_cell,
+                   "emb.cell.b": db_cell, "emb.out.w": dw_out, "emb.out.b": db_out}
 
 
-def _message_features(deg1hot: np.ndarray, prev: np.ndarray, nbrs: np.ndarray, lo: int) -> np.ndarray:
-    """Messages of rows ``lo .. lo + len(nbrs)``, whose sampled neighbors
-    are ``nbrs``; neighbor rows are read from the full ``deg1hot``/``prev``."""
-    # [own degree bucket | own previous embedding | neighbor degree bucket |
-    #  neighbor previous embedding]; both neighbor blocks zero when isolated.
-    hi = lo + nbrs.shape[0]
-    nbr_deg = np.zeros_like(deg1hot[lo:hi])
-    nbr_prev = np.zeros_like(prev[lo:hi])
+def _message_features(g: Graph, bins: int, prev: np.ndarray, verts: np.ndarray,
+                      nbrs: np.ndarray) -> np.ndarray:
+    """Messages of ``verts``, whose sampled neighbors are ``nbrs``, read
+    from the previous iteration's table ``prev``: [own degree bucket | own
+    previous embedding | neighbor degree bucket | neighbor previous
+    embedding], both neighbor blocks zero when isolated (-1)."""
+    dim = prev.shape[1]
+    feats = np.zeros((len(verts), 2 * (bins + dim)), dtype=prev.dtype)
+    rows = np.arange(len(verts))
     present = nbrs >= 0
-    nbr_deg[present] = deg1hot[nbrs[present]]
-    nbr_prev[present] = prev[nbrs[present]]
-    return np.concatenate([deg1hot[lo:hi], prev[lo:hi], nbr_deg, nbr_prev], axis=1)
+    feats[rows, _degree_buckets(g, verts, bins)] = 1.0
+    feats[:, bins:bins + dim] = prev[verts]
+    feats[rows[present], bins + dim + _degree_buckets(g, nbrs[present], bins)] = 1.0
+    feats[present, 2 * bins + dim:] = prev[nbrs[present]]
+    return feats
 
 
 def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> EmbeddingTable:
@@ -205,41 +168,38 @@ def compute_embeddings(g: Graph, store: ParamStore, cfg, seed: int) -> Embedding
     BLAS sums a row by its place in the call, and the last bit can differ."""
     dtype = store.dtype
     tables = np.zeros((cfg.embed_iterations + 1, g.n, cfg.embed_dim), dtype=dtype)
-    deg1hot = degree_onehot_matrix(g, cfg.feature_bins, dtype=dtype)
     for t in range(1, cfg.embed_iterations + 1):
-        nbrs = sampled_neighbors_all(g, t, seed)
+        nbrs = sampled_neighbors(g, t, seed, np.arange(g.n))
         for lo in range(0, max(g.n - 1, 1), EMBED_BLOCK):
             # a one-row tail joins the block before it: NumPy multiplies a
             # single row by the matrix-vector path, which adds in another
             # order than the matrix product of a larger call
             hi = g.n if g.n - lo <= EMBED_BLOCK + 1 else lo + EMBED_BLOCK
-            feats = _message_features(deg1hot, tables[t - 1], nbrs[lo:hi], lo)
+            feats = _message_features(g, cfg.feature_bins, tables[t - 1], np.arange(lo, hi),
+                                      nbrs[lo:hi])
             # index the result so the block's tapes are freed right away
             tables[t, lo:hi] = transfer_forward(store, cfg, feats)[0]
     return EmbeddingTable(graph_key=g.key(), seed=seed, tables=tables)
 
 
-def _chain_levels(walks, top: int, length: int):
+def _chain_levels(groups: dict, group: np.ndarray, verts: np.ndarray, top: int, length: int):
     """Every walk's reverse message chain, sampled level by level.
 
-    Level k holds iteration ``top - k`` of every chain still running:
-    (t, rows, verts, nbrs) with the walk indices in ascending order, the
-    chain vertex and its sampled neighbor (-1 when isolated, which ends
-    that chain). Each row draws its neighbor as ``sampled_neighbors_all`` does.
+    Walk w starts at vertex ``verts[w]`` and draws with the graph and seed
+    of table ``groups[group[w]]``. Level k holds iteration ``top - k`` of
+    every chain still running: (t, rows, verts, nbrs) with the walk
+    indices in ascending order, the chain vertex and its sampled neighbor
+    (-1 when isolated, which ends that chain).
     """
-    seeds = np.array([table.seed for _, table, _ in walks], dtype=np.uint64)
-    rows = np.arange(len(walks))
-    verts = np.array([v for _, _, v in walks], dtype=np.int64)
+    rows = np.arange(len(verts))
     levels = []
     for t in range(top, top - min(length, top), -1):
         if rows.size == 0:
             break
-        graphs = [walks[w][0] for w in rows.tolist()]
-        degs = np.array([g.degrees[v] for g, v in zip(graphs, verts.tolist())], dtype=np.uint64)
-        picks = _neighbor_picks(seeds[rows], verts.astype(np.uint64), t, degs)
-        nbrs = np.array([int(g.neighbors[g.offsets[v] + p]) if d else -1
-                         for g, v, p, d in zip(graphs, verts.tolist(), picks.tolist(),
-                                               degs.tolist())], dtype=np.int64)
+        nbrs = np.empty_like(verts)
+        for key, (g, table) in groups.items():
+            sel = group[rows] == key
+            nbrs[sel] = sampled_neighbors(g, t, table.seed, verts[sel])
         levels.append((t, rows, verts, nbrs))
         rows, verts = rows[nbrs >= 0], nbrs[nbrs >= 0]
     return levels
@@ -255,29 +215,31 @@ def walks_forward(store: ParamStore, cfg, walks: list[tuple[Graph, EmbeddingTabl
     one ``transfer_forward`` per level, bottom-up, serves them all. A
     level's neighbor rows come from the level below where that chain
     continues, else from the table (constants); isolated neighbors give
-    zero blocks. Returns the live rows (W, D) and the tape
-    ``walks_backward`` needs; length 0 returns the cached rows.
+    zero blocks. Walks sharing a table share its graph and seed, so each
+    level draws and builds the messages of one table's rows in one call.
+    Returns the live rows (W, D) and the tape ``walks_backward`` needs;
+    length 0 returns the cached rows.
     """
     dtype = store.dtype
     bins, dim = cfg.feature_bins, cfg.embed_dim
-    levels = _chain_levels(walks, cfg.embed_iterations, length)
+    groups = {id(table): (g, table) for g, table, _ in walks}
+    group = np.array([id(table) for _, table, _ in walks], dtype=np.int64)
+    verts = np.array([v for _, _, v in walks], dtype=np.int64)
+    levels = _chain_levels(groups, group, verts, cfg.embed_iterations, length)
     if not levels:
-        cached = np.array([table.tables[-1][v] for _, table, v in walks], dtype=dtype)
-        return cached.reshape(len(walks), dim), []
+        cached = np.empty((len(walks), dim), dtype=dtype)
+        for key, (_, table) in groups.items():
+            sel = group == key
+            cached[sel] = table.tables[-1][verts[sel]]
+        return cached, []
     nbr_col = 2 * bins + dim
     tape = []
     below = None  # (rows, mu) of the level under the current one
     for t, rows, verts, nbrs in reversed(levels):
-        feats = np.zeros((rows.size, nbr_col + dim), dtype=dtype)
-        for i, (w, v, j) in enumerate(zip(rows.tolist(), verts.tolist(), nbrs.tolist())):
-            g, table, _ = walks[w]
-            prev = table.tables[t - 1]
-            maximum = max(1, g.max_degree)
-            feats[i, encode_onehot(g.degree(v), maximum, bins)] = 1.0
-            feats[i, bins:bins + dim] = prev[v]
-            if j >= 0:
-                feats[i, bins + dim + encode_onehot(g.degree(j), maximum, bins)] = 1.0
-                feats[i, nbr_col:] = prev[j]
+        feats = np.empty((rows.size, nbr_col + dim), dtype=dtype)
+        for key, (g, table) in groups.items():
+            sel = group[rows] == key
+            feats[sel] = _message_features(g, bins, table.tables[t - 1], verts[sel], nbrs[sel])
         down = np.empty(0, dtype=np.int64)
         if below is not None:
             # rows whose chain continues read the fresh neighbor row

@@ -153,7 +153,7 @@ def context_ids(state: ColoringState, table: EmbeddingTable, cfg,
     bins = cfg.feature_bins
     maxc = g.max_degree + 1
     t = state.t
-    # encode_onehot, inlined: min(value * bins // maximum, bins - 1)
+    # bucketed like the embeddings' degree buckets: min(value * bins // maximum, bins - 1)
     hot = [min(bins - 1, n.bit_length() - 1),
            bins + min(min(state.colors_used, maxc) * bins // maxc, bins - 1),
            2 * bins + min(t * bins // n, bins - 1)]

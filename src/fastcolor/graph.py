@@ -379,6 +379,8 @@ class GraphSource:
         for x in self.params[:len(self.params) - 1]:  # n, and ws's k
             if not (float(x).is_integer() and x >= 0):
                 raise ParameterError(f"{self.kind} sizes must be whole numbers >= 0, got {x!r}")
+        if self.seed < 0:
+            raise ParameterError(f"{self.kind} seed must be >= 0, got {self.seed}")
 
     def build(self) -> Graph:
         if self.kind == "er":

@@ -266,12 +266,20 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     Artifacts under the output directory: metrics.csv, episodes.jsonl,
     best.ckpt (latest gated model, absent until one gates), last.ckpt.
     A non-finite loss or parameter after a training step aborts with the
-    offending state dumped.
+    offending state dumped. A rerun into the same directory replaces an
+    earlier run's artifacts: the episode log starts empty, and a stale
+    best.ckpt or nan_dump.ckpt is removed.
     """
     out = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     train_graphs = load_sources(cfg.train_sources)
     eval_graphs = load_sources(cfg.eval_sources) if cfg.eval_sources else train_graphs
+    os.makedirs(out, exist_ok=True)
+    episode_log = os.path.join(out, "episodes.jsonl")
+    open(episode_log, "w").close()
+    for stale in ("best.ckpt", "nan_dump.ckpt"):
+        path = os.path.join(out, stale)
+        if os.path.exists(path):
+            os.remove(path)
 
     buffer = ReplayBuffer(cfg.buffer_capacity)
     candidate = Model(init_fastcolornet(cfg), version=0, cache=buffer.embeddings)
@@ -286,7 +294,6 @@ def policy_iteration(cfg: Config, out_dir: str | None = None) -> TrainResult:
     ckpt_path = os.path.join(out, "best.ckpt")
     saved_best = False
     train_rng = make_rng(int(mix64(cfg.seed, 1)))
-    episode_log = os.path.join(out, "episodes.jsonl")
 
     for it in range(1, cfg.train_iterations + 1):
         t0 = time.perf_counter()

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fastcolor.coloring import ActionSet, ColoringState, outcome_vs_baseline
-from fastcolor.embedding import encode_onehot
-from fastcolor.errors import ContractError
+from fastcolor.errors import ContractError, ParameterError
 from fastcolor.fastcolornet import (
     InferenceNet,
     MoveInput,
@@ -16,6 +15,7 @@ from fastcolor.fastcolornet import (
 )
 from fastcolor.graph import Graph
 from fastcolor.nn import ParamStore
+from fastcolor.rng import mix64
 
 
 def complete_graph(n: int) -> Graph:
@@ -51,6 +51,49 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph.from_edges(10, outer + spokes + inner)
+
+
+def encode_onehot(value: int, maximum: int, size: int = 32) -> int:
+    """Reference bucket index = min(floor(value / maximum * size), size - 1).
+
+    ``maximum = 0`` maps everything (necessarily 0) to bucket 0. The
+    clamp handles value == maximum, where the raw formula says ``size``.
+    """
+    if maximum < 0:
+        raise ParameterError(f"maximum must be >= 0, got {maximum}")
+    if value < 0 or value > maximum:
+        raise ContractError(f"value {value} outside [0, {maximum}]")
+    if maximum == 0:
+        return 0
+    return min(int(value * size // maximum), size - 1)
+
+
+def degree_onehot_matrix(g: Graph, bins: int = 32, dtype=np.float32) -> np.ndarray:
+    """Reference (V, bins) matrix of bucketed degrees; zero-degree graphs
+    scale by 1."""
+    maximum = max(1, g.max_degree)
+    idx = np.minimum(g.degrees.astype(np.int64) * bins // maximum, bins - 1)
+    out = np.zeros((g.n, bins), dtype=dtype)
+    if g.n:
+        out[np.arange(g.n), idx] = 1.0
+    return out
+
+
+def sampled_neighbors_all(g: Graph, t: int, seed: int) -> np.ndarray:
+    """Reference sampled neighbor of every vertex at iteration t, -1 for
+    isolated: the hash of (seed, v, t) modulo the degree, drawn for every
+    vertex at once."""
+    if g.n == 0:
+        return np.empty(0, dtype=np.int64)
+    degs = g.degrees.astype(np.uint64)
+    h = mix64(np.full(g.n, seed, dtype=np.uint64), np.arange(g.n, dtype=np.uint64), np.uint64(t))
+    idx = (h % np.maximum(degs, 1)).astype(np.int64)
+    present = g.degrees > 0
+    nbr = np.full(g.n, -1, dtype=np.int64)
+    if present.any():
+        pos = g.offsets[:-1][present] + idx[present]
+        nbr[present] = g.neighbors[pos].astype(np.int64)
+    return nbr
 
 
 def onehot_vector(value: int, maximum: int, size: int = 32, dtype=np.float32) -> np.ndarray:

@@ -116,6 +116,22 @@ class TestGen:
         assert not out.exists() or not os.listdir(out)
 
 
+    @pytest.mark.parametrize("cmd", ["gen", "train"])
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys, cmd):
+        source = "er:4,0.5:seed=-1"
+        out = tmp_path / "out"
+        if cmd == "gen":
+            argv = ["gen", "--sources", source, "--out", str(out)]
+        else:
+            path = tmp_path / "neg.cfg"
+            path.write_text(tiny_cfg(train_sources=source).to_text())
+            argv = ["train", "--config", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "seed" in err
+        assert not out.exists() or not os.listdir(out)
+
+
 class TestColor:
     def test_heuristic_prints_count(self, k4_file, capsys):
         assert main(["color", "--graph", k4_file, "--heuristic", "ordered"]) == 0
@@ -278,7 +294,7 @@ class TestTrain:
                                       "buffer_capacity = 0", "steps_per_iteration = -1",
                                       "train_iterations = -1", "embed_iterations = -1",
                                       "lstm_steps = -1", "lr = -1", "lr = nan",
-                                      "ucb_c = inf"])
+                                      "ucb_c = inf", "init_seed = -1", "embed_seed = -1"])
     def test_unsound_config_fails_cleanly(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
         path = tmp_path / "bad.cfg"

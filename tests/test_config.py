@@ -94,7 +94,8 @@ def test_validation():
                  dict(root_noise=True, dirichlet_frac=1.0),
                  dict(steps_per_iteration=0, train_iterations=0, embed_iterations=0,
                       lstm_steps=0, ucb_c=0.0),
-                 dict(simulations=1, batch_size=1, buffer_capacity=1, lr=1e-12)):
+                 dict(simulations=1, batch_size=1, buffer_capacity=1, lr=1e-12),
+                 dict(init_seed=0, embed_seed=0, seed=-1)):
         Config(**edge)
 
 
@@ -110,7 +111,7 @@ def test_validation():
     dict(batch_size=0), dict(buffer_capacity=0), dict(steps_per_iteration=-1),
     dict(train_iterations=-1), dict(embed_iterations=-1), dict(lstm_steps=-1), dict(lr=0.0),
     dict(lr=-1.0), dict(lr=float("inf")), dict(lr=float("nan")), dict(ucb_c=-0.5),
-    dict(ucb_c=float("inf")), dict(ucb_c=float("nan")),
+    dict(ucb_c=float("inf")), dict(ucb_c=float("nan")), dict(init_seed=-1), dict(embed_seed=-1),
 ])
 def test_unsound_sizes_rejected(bad):
     with pytest.raises(ParameterError, match=next(iter(bad))):

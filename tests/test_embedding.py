@@ -1,5 +1,7 @@
 """Feature encoders, embedding tables, and walk-truncated gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,8 @@ from fastcolor.config import Config
 from fastcolor.embedding import (
     EmbeddingTable,
     compute_embeddings,
-    degree_onehot_matrix,
-    encode_onehot,
     init_transfer_params,
-    sampled_neighbors_all,
+    sampled_neighbors,
     transfer_backward,
     transfer_forward,
     walk_backprop,
@@ -22,10 +22,24 @@ from fastcolor.embedding import (
 )
 from fastcolor.errors import ContractError
 from fastcolor.graph import Graph, gen_er, gen_ws
-from fastcolor.nn import ParamStore, finite_diff_check
+from fastcolor.nn import (
+    ParamStore,
+    dense_backward,
+    finite_diff_check,
+    lstm_cell_backward,
+)
 from fastcolor.rng import make_rng, mix64
 
-from conftest import cycle_graph, onehot_vector, path_graph, star_graph, traced_peak
+from conftest import (
+    cycle_graph,
+    degree_onehot_matrix,
+    encode_onehot,
+    onehot_vector,
+    path_graph,
+    sampled_neighbors_all,
+    star_graph,
+    traced_peak,
+)
 
 
 # -- one-vertex references for the vectorized sampling and walk paths --
@@ -113,7 +127,7 @@ class TestNeighborSampling:
     def test_scalar_matches_vectorized(self):
         g = path_graph(6)
         for t in (1, 2, 3):
-            allv = sampled_neighbors_all(g, t, seed=9)
+            allv = sampled_neighbors(g, t, 9, np.arange(g.n))
             for v in range(6):
                 got = sampled_neighbor(g, v, t, seed=9)
                 assert (got if got is not None else -1) == allv[v]
@@ -121,12 +135,12 @@ class TestNeighborSampling:
     def test_isolated_vertex_has_no_sample(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert sampled_neighbor(g, 2, 1, seed=0) is None
-        assert sampled_neighbors_all(g, 1, seed=0)[2] == -1
+        assert sampled_neighbors(g, 1, 0, np.arange(g.n))[2] == -1
 
     def test_samples_are_valid_neighbors(self):
         g = gen_ws(64, 4, 0.3, seed=2)
         for t in (1, 2):
-            nbr = sampled_neighbors_all(g, t, seed=5)
+            nbr = sampled_neighbors(g, t, 5, np.arange(g.n))
             for v in range(g.n):
                 assert nbr[v] in set(g.neighbors_of(v).tolist())
 
@@ -136,6 +150,78 @@ class TestNeighborSampling:
         g = path_graph(4)
         seen = {sampled_neighbor(g, 1, t, seed=0) for t in range(1, 51)}
         assert seen == {0, 2}
+
+
+# -- the per-row draw and message loop that walks ran before they shared
+# the table build's sampled_neighbors and _message_features --
+
+
+def per_row_neighbors(g: Graph, t: int, seed: int, verts) -> np.ndarray:
+    """Each row's neighbor drawn on its own, -1 for isolated."""
+    verts = [int(v) for v in verts]
+    degs = np.array([g.degrees[v] for v in verts], dtype=np.uint64)
+    h = mix64(np.full(len(verts), seed, dtype=np.uint64), np.array(verts, dtype=np.uint64),
+              np.uint64(t))
+    picks = (h % np.maximum(degs, 1)).astype(np.int64)
+    return np.array([int(g.neighbors[g.offsets[v] + p]) if d else -1
+                     for v, p, d in zip(verts, picks.tolist(), degs.tolist())], dtype=np.int64)
+
+
+def per_row_messages(g: Graph, bins: int, prev: np.ndarray, verts, nbrs, dtype) -> np.ndarray:
+    """Each row's message written entry by entry with ``encode_onehot``."""
+    dim = prev.shape[1]
+    nbr_col = 2 * bins + dim
+    feats = np.zeros((len(verts), nbr_col + dim), dtype=dtype)
+    maximum = max(1, g.max_degree)
+    for i, (v, j) in enumerate(zip(np.asarray(verts).tolist(), np.asarray(nbrs).tolist())):
+        feats[i, encode_onehot(g.degree(v), maximum, bins)] = 1.0
+        feats[i, bins:bins + dim] = prev[v]
+        if j >= 0:
+            feats[i, bins + dim + encode_onehot(g.degree(j), maximum, bins)] = 1.0
+            feats[i, nbr_col:] = prev[j]
+    return feats
+
+
+def with_isolated_vertex(g: Graph) -> Graph:
+    edges = [(u, int(w)) for u in range(g.n) for w in g.neighbors_of(u) if u < w]
+    return Graph.from_edges(g.n + 1, edges)
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 40) -> Graph:
+    """An er or ws graph of 0..max_n vertices, sometimes plus an isolated one."""
+    n = draw(st.integers(0, max_n))
+    p, seed = draw(st.floats(0.0, 0.6)), draw(st.integers(0, 2**16))
+    if n >= 1 and draw(st.booleans()):
+        g = gen_ws(n, min(4, (n - 1) // 2 * 2), p, seed)
+    else:
+        g = gen_er(n, p, seed)
+    return with_isolated_vertex(g) if draw(st.booleans()) else g
+
+
+class TestSharedHelpers:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), g=small_graphs(), t=st.integers(1, 5), seed=st.integers(0, 2**40))
+    def test_sampled_neighbors_match_per_row_draw(self, data, g, t, seed):
+        verts = np.array(data.draw(st.lists(st.integers(0, max(g.n - 1, 0)),
+                                            max_size=3 * g.n)), dtype=np.int64)
+        got = sampled_neighbors(g, t, seed, verts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, per_row_neighbors(g, t, seed, verts))
+        assert np.array_equal(sampled_neighbors(g, t, seed, np.arange(g.n)),
+                              sampled_neighbors_all(g, t, seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), g=small_graphs(), bins=st.integers(1, 9), dim=st.integers(1, 5),
+           dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**16))
+    def test_message_features_match_per_row_loop(self, data, g, bins, dim, dtype, seed):
+        verts = np.array(data.draw(st.lists(st.integers(0, max(g.n - 1, 0)),
+                                            max_size=3 * g.n)), dtype=np.int64)
+        nbrs = sampled_neighbors(g, 1 + seed % 3, seed, verts)
+        prev = make_rng(seed).normal(size=(g.n, dim)).astype(dtype)
+        got = embedding._message_features(g, bins, prev, verts, nbrs)
+        assert got.dtype == dtype
+        assert np.array_equal(got, per_row_messages(g, bins, prev, verts, nbrs, dtype))
 
 
 class TestComputeEmbeddings:
@@ -376,22 +462,29 @@ class TestWalks:
         self._walk_fd(path_graph(6), small_cfg(), vertex=3, length=None, seed=3)
 
     def test_walks_bucket_only_chain_vertices(self, monkeypatch):
-        # a walk touches at most T vertices, so it must not build the
-        # (V, bins) degree matrix that compute_embeddings uses
+        # a walk touches at most T vertices, so it must bucket only those,
+        # never every vertex as compute_embeddings does
         cfg = small_cfg()
         g = star_graph(5)
         store = make_store(cfg)
         table = compute_embeddings(g, store, cfg, seed=4)
+        calls = []
+        buckets = embedding._degree_buckets
 
-        def whole_graph(*args, **kwargs):
-            raise AssertionError("degree_onehot_matrix called by a walk")
+        def spy(graph, verts, bins):
+            calls.append(verts.tolist())
+            return buckets(graph, verts, bins)
 
-        monkeypatch.setattr(embedding, "degree_onehot_matrix", whole_graph)
+        monkeypatch.setattr(embedding, "_degree_buckets", spy)
         for v in range(g.n):
+            chain = sample_walk(g, cfg, v, cfg.embed_iterations, seed=4)
+            on_chain = {u for _, u, _ in chain} | {j for _, _, j in chain if j is not None}
+            calls.clear()
             got = walk_value(g, store, cfg, table, v, None, seed=4)
             assert np.allclose(got, table.final[v], atol=1e-10)
             grads = walk_backprop(g, store, cfg, table, v, np.ones(cfg.embed_dim), None, seed=4)
             assert grads["emb.in.w"].any()
+            assert calls and all(set(c) <= on_chain and len(c) <= len(chain) for c in calls)
 
     def test_walk_grads_deterministic(self):
         cfg = small_cfg()
@@ -444,9 +537,62 @@ def per_walk_reference(g, store, cfg, table, vertex, length, upstream):
     return lower, grads
 
 
-def with_isolated_vertex(g: Graph) -> Graph:
-    edges = [(u, int(w)) for u in range(g.n) for w in g.neighbors_of(u) if u < w]
-    return Graph.from_edges(g.n + 1, edges)
+def reference_walks_forward(store, cfg, walks, length):
+    """``walks_forward`` with every level's neighbors drawn and messages
+    written row by row, each with its own walk's graph and table."""
+    dtype, bins, dim = store.dtype, cfg.feature_bins, cfg.embed_dim
+    top = cfg.embed_iterations
+    rows = np.arange(len(walks))
+    verts = np.array([v for _, _, v in walks], dtype=np.int64)
+    levels = []
+    for t in range(top, top - min(length, top), -1):
+        if rows.size == 0:
+            break
+        nbrs = np.array([per_row_neighbors(walks[w][0], t, walks[w][1].seed, [v])[0]
+                         for w, v in zip(rows.tolist(), verts.tolist())], dtype=np.int64)
+        levels.append((t, rows, verts, nbrs))
+        rows, verts = rows[nbrs >= 0], nbrs[nbrs >= 0]
+    if not levels:
+        cached = np.array([table.tables[-1][v] for _, table, v in walks], dtype=dtype)
+        return cached.reshape(len(walks), dim), []
+    tape, below = [], None
+    for t, rows, verts, nbrs in reversed(levels):
+        feats = np.concatenate([
+            per_row_messages(walks[w][0], bins, walks[w][1].tables[t - 1], [v], [j], dtype)
+            for w, v, j in zip(rows.tolist(), verts.tolist(), nbrs.tolist())])
+        down = np.empty(0, dtype=np.int64)
+        if below is not None:
+            down = np.searchsorted(rows, below[0])
+            feats[down, 2 * bins + dim:] = below[1]
+        mu, cache = transfer_forward(store, cfg, feats)
+        tape.append((cache, down))
+        below = (rows, mu)
+    tape.reverse()
+    return below[1], tape
+
+
+def reference_walks_backward(store, cfg, tape, upstream) -> dict[str, np.ndarray]:
+    """``walks_backward`` with each level's six gradients first summed in
+    a dict seeded with 0.0, the LSTM steps last to first."""
+    grads = {name: np.zeros_like(store[name]) for name in TRANSFER_NAMES}
+    d_mu = np.asarray(upstream, dtype=store.dtype)
+    for (in_cache, step_caches, out_cache), down in tape:
+        level = dict.fromkeys(TRANSFER_NAMES, 0.0)
+        dx, dw, db = dense_backward(d_mu, out_cache)
+        level["emb.out.w"] = level["emb.out.w"] + dw
+        level["emb.out.b"] = level["emb.out.b"] + db
+        dc = np.zeros_like(dx)
+        for step in reversed(step_caches):
+            dx, dc, dw, db = lstm_cell_backward(dx, dc, step)
+            level["emb.cell.w"] = level["emb.cell.w"] + dw
+            level["emb.cell.b"] = level["emb.cell.b"] + db
+        dfeat, dw, db = dense_backward(dx, in_cache)
+        level["emb.in.w"] = level["emb.in.w"] + dw
+        level["emb.in.b"] = level["emb.in.b"] + db
+        for name, val in level.items():
+            grads[name] += val
+        d_mu = dfeat[down, 2 * cfg.feature_bins + cfg.embed_dim:]
+    return grads
 
 
 class TestBatchedWalks:
@@ -485,3 +631,38 @@ class TestBatchedWalks:
         for name, want in want_grads.items():
             assert grads[name].dtype == dtype
             assert np.abs(grads[name] - want).max() <= tol * max(1.0, np.abs(want).max()), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), iterations=st.integers(1, 3),
+           dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**16))
+    def test_matches_row_by_row_reference(self, data, iterations, dtype, seed):
+        # bit for bit: the shared helpers build exactly the messages the
+        # row-by-row code wrote, so every transfer call sees the same array
+        cfg = small_cfg(embed_iterations=iterations)
+        store = make_store(cfg, seed=seed % 7, dtype=dtype)
+        frozen = make_store(cfg, seed=seed % 7 + 1, dtype=dtype)
+        graphs = data.draw(st.lists(small_graphs(12).filter(lambda g: g.n > 0),
+                                    min_size=2, max_size=4))
+        tables = [compute_embeddings(g, frozen, cfg, seed=seed + 10 * i)
+                  for i, g in enumerate(graphs)]
+        if data.draw(st.booleans()):
+            # a reseeded copy, as walk_value makes, is a table of its own
+            graphs[-1], tables[-1] = graphs[0], replace(tables[0], seed=seed + 1)
+        picks = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+        walks = [(graphs[p % len(graphs)], tables[p % len(graphs)],
+                  (p // len(graphs)) % graphs[p % len(graphs)].n) for p in picks]
+        walks += walks[:data.draw(st.integers(0, len(walks)))]  # repeated walks
+        length = data.draw(st.integers(0, iterations))
+        upstream = make_rng(seed).normal(size=(len(walks), cfg.embed_dim))
+
+        live, tape = walks_forward(store, cfg, walks, length)
+        want_live, want_tape = reference_walks_forward(store, cfg, walks, length)
+        assert live.dtype == dtype and np.array_equal(live, want_live)
+        assert len(tape) == len(want_tape)
+        for (cache, down), (want_cache, want_down) in zip(tape, want_tape):
+            assert np.array_equal(down, want_down)
+            assert np.array_equal(cache[0][0], want_cache[0][0])  # the level's messages
+        grads = walks_backward(store, cfg, tape, upstream)
+        want = reference_walks_backward(store, cfg, want_tape, upstream)
+        for name in TRANSFER_NAMES:
+            assert np.array_equal(grads[name], want[name]), name

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fastcolor.coloring import HEURISTIC_KINDS, ColoringState, Outcome, compute_order, greedy_color
 from fastcolor.config import Config
-from fastcolor.embedding import compute_embeddings, encode_onehot
+from fastcolor.embedding import compute_embeddings
 from fastcolor.errors import ContractError
 from fastcolor.fastcolornet import (
     TrainMove,
@@ -49,6 +49,7 @@ from fastcolor.selfplay import (
 from conftest import (
     complete_graph,
     cycle_graph,
+    encode_onehot,
     forward_moves,
     onehot_vector,
     path_graph,

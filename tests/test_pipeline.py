@@ -357,6 +357,17 @@ class TestPolicyIteration:
         assert len(computed) == len(set(computed))
         assert {cache for cache, _, _ in misses} == {id(buffers[0].embeddings)}
 
+    def test_rerun_replaces_earlier_artifacts(self, tmp_path):
+        result = policy_iteration(tiny_cfg(), out_dir=str(tmp_path))
+        assert result.best is not None and (tmp_path / "best.ckpt").exists()
+        assert (tmp_path / "episodes.jsonl").read_text()
+        (tmp_path / "nan_dump.ckpt").write_bytes(b"stale")
+        rerun = policy_iteration(tiny_cfg(train_iterations=0), out_dir=str(tmp_path))
+        assert rerun.best is None
+        assert not (tmp_path / "best.ckpt").exists()
+        assert not (tmp_path / "nan_dump.ckpt").exists()
+        assert (tmp_path / "episodes.jsonl").read_text() == ""
+
     def test_deterministic_metrics(self, tmp_path):
         cfg = tiny_cfg()
         a = policy_iteration(cfg, out_dir=str(tmp_path / "a"))
